@@ -15,13 +15,11 @@ import contextlib
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import IO, Callable, Sequence
 
-import numpy as np
-
 from .coloring import (
+    DEFAULT_WINDOW_CAP,
     Coloring,
     ExplicitColoring,
     PeriodicColoring,
@@ -57,19 +55,6 @@ from .search import (
 from .witness import WitnessParams, build_witness, check_sumset_identity
 
 __all__ = ["parse_coloring_spec", "run", "main"]
-
-_KINDS = (
-    "power2",
-    "geo3",
-    "triple",
-    "recursive",
-    "case2",
-    "periodic",
-    "random",
-    "explicit",
-    "file",
-)
-
 
 # ---------------------------------------------------------------------------
 # coloring spec grammar: kind[:params][@file], params = positional and
@@ -129,20 +114,35 @@ def _split_params(params: str, text: str, base: int):
     return pos_args, named
 
 
-def _take_named(named: dict, allowed: Sequence[str], text: str) -> None:
-    for key, (_, pos) in named.items():
-        if key not in allowed:
-            raise ParseError(f"unknown parameter {key!r}", text, pos - len(key) - 1)
+_TOKENS = {
+    "a": _int_tok, "b": _int_tok, "c": _int_tok, "a0": _int_tok, "window": _int_tok,
+    "seed": _int_tok, "k": _int_tok,
+    "l": _frac_tok, "x": _frac_tok, "y": _frac_tok,
+    "P": _poly_tok, "Q": _poly_tok,
+    "pattern": _pattern_tok,
+}
 
-
-def _arity(kind: str, pos_args: list, want: int, text: str) -> None:
-    if len(pos_args) != want:
-        at = pos_args[want][1] if len(pos_args) > want else len(text)
-        raise ParseError(
-            f"{kind} takes {want} positional parameter(s), got {len(pos_args)}",
-            text,
-            at,
-        )
+# kind -> (positional params, named params, required named params, builder);
+# the builder takes every param by name.  The --kind flags of `color` carry the
+# same names, so this table is the whole grammar of both spellings.
+_SIGNATURES: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], Callable]] = {
+    "power2": (("a", "b"), (), (), power_2coloring),
+    "geo3": (("a", "b"), ("l", "x", "y"), (), geometric_3coloring),
+    "triple": (("a", "b", "c"), ("x", "l"), (), triple_2coloring),
+    "recursive": (
+        (),
+        ("P", "Q", "a0", "window"),
+        ("P", "Q"),
+        lambda P, Q, a0=None, window=DEFAULT_WINDOW_CAP: recursive_log_coloring(
+            P, Q, a0, window
+        ),
+    ),
+    "case2": ((), ("P", "Q"), ("P", "Q"), case2_coloring),
+    "periodic": (("pattern",), (), (), PeriodicColoring),
+    "random": ((), ("seed", "k"), (), lambda seed, k=2: SeededRandomColoring(seed, k)),
+    "explicit": (("pattern",), (), (), lambda pattern: ExplicitColoring(pattern)),
+}
+_KINDS = (*_SIGNATURES, "file")
 
 
 def parse_coloring_spec(s: str, default_seed: int = 0) -> Coloring:
@@ -164,67 +164,29 @@ def parse_coloring_spec(s: str, default_seed: int = 0) -> Coloring:
             raise ParseError("file spec needs @path", s, len(head))
         with open(path, "r", encoding="ascii") as fh:
             return read_runlength(fh, descriptor=f"file@{path}")
+    positional, allowed, required, build = _SIGNATURES[kind]
     base = len(kind) + 1
     pos_args, named = _split_params(params, s, base)
-
-    if kind == "power2":
-        _arity(kind, pos_args, 2, s)
-        _take_named(named, (), s)
-        a, b = (_int_tok(t, s, p) for t, p in pos_args)
-        return power_2coloring(a, b)
-    if kind == "geo3":
-        _arity(kind, pos_args, 2, s)
-        _take_named(named, ("l", "x", "y"), s)
-        a, b = (_int_tok(t, s, p) for t, p in pos_args)
-        kw = {k: _frac_tok(v, s, p) for k, (v, p) in named.items()}
-        return geometric_3coloring(a, b, **kw)
-    if kind == "triple":
-        _arity(kind, pos_args, 3, s)
-        _take_named(named, ("x", "l"), s)
-        a, b, c = (_int_tok(t, s, p) for t, p in pos_args)
-        kw = {k: _frac_tok(v, s, p) for k, (v, p) in named.items()}
-        return triple_2coloring(a, b, c, **kw)
-    if kind == "recursive":
-        _arity(kind, pos_args, 0, s)
-        _take_named(named, ("P", "Q", "a0", "window"), s)
-        for req in ("P", "Q"):
-            if req not in named:
-                raise ParseError(f"recursive spec needs {req}=<polynomial>", s, base)
-        P = _poly_tok(named["P"][0], s, named["P"][1])
-        Q = _poly_tok(named["Q"][0], s, named["Q"][1])
-        kw = {}
-        if "a0" in named:
-            kw["a0"] = _int_tok(named["a0"][0], s, named["a0"][1])
-        if "window" in named:
-            kw["window_n"] = _int_tok(named["window"][0], s, named["window"][1])
-        return recursive_log_coloring(P, Q, **kw)
-    if kind == "case2":
-        _arity(kind, pos_args, 0, s)
-        _take_named(named, ("P", "Q"), s)
-        for req in ("P", "Q"):
-            if req not in named:
-                raise ParseError(f"case2 spec needs {req}=<polynomial>", s, base)
-        P = _poly_tok(named["P"][0], s, named["P"][1])
-        Q = _poly_tok(named["Q"][0], s, named["Q"][1])
-        return case2_coloring(P, Q)
-    if kind == "periodic":
-        _arity(kind, pos_args, 1, s)
-        _take_named(named, (), s)
-        return PeriodicColoring(_pattern_tok(pos_args[0][0], s, pos_args[0][1]))
-    if kind == "random":
-        _arity(kind, pos_args, 0, s)
-        _take_named(named, ("seed", "k"), s)
-        seed = (
-            _int_tok(named["seed"][0], s, named["seed"][1])
-            if "seed" in named
-            else default_seed
+    if len(pos_args) != len(positional):
+        at_pos = pos_args[len(positional)][1] if len(pos_args) > len(positional) else len(s)
+        raise ParseError(
+            f"{kind} takes {len(positional)} positional parameter(s), got {len(pos_args)}",
+            s,
+            at_pos,
         )
-        k = _int_tok(named["k"][0], s, named["k"][1]) if "k" in named else 2
-        return SeededRandomColoring(seed=seed, palette=k)
-    # explicit
-    _arity(kind, pos_args, 1, s)
-    _take_named(named, (), s)
-    return ExplicitColoring(_pattern_tok(pos_args[0][0], s, pos_args[0][1]))
+    for key, (_, pos) in named.items():
+        if key not in allowed:
+            raise ParseError(f"unknown parameter {key!r}", s, pos - len(key) - 1)
+    for req in required:
+        if req not in named:
+            raise ParseError(f"{kind} spec needs {req}=<polynomial>", s, base)
+    values = {
+        key: _TOKENS[key](tok, s, pos)
+        for key, (tok, pos) in (*zip(positional, pos_args), *named.items())
+    }
+    if "seed" in allowed:
+        values.setdefault("seed", default_seed)
+    return build(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +213,6 @@ def _print_json(doc, out: IO[str]) -> None:
     out.write(json.dumps(_fix(doc)) + "\n")
 
 
-def _print_csv(rows, out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-
-
 def _cell(v) -> str:
     if v is None:
         return ""
@@ -264,12 +220,34 @@ def _cell(v) -> str:
         return str(v).lower()
     if isinstance(v, float):
         return f"{v:.12g}"
+    if isinstance(v, list):
+        return " ".join(map(str, v))
     return str(v)
 
 
-def _kv_lines(pairs, out: IO[str]) -> None:
-    for key, value in pairs:
-        out.write(f"{key} {_cell(value)}\n")
+def _emit(fmt: str, out: IO[str], doc, record=None, table=None) -> None:
+    """Write one result in the --out format.
+
+    json writes ``doc``.  ``record`` is a sequence of (key, value) pairs:
+    text writes it as "key value" lines and csv as a field,value table.
+    ``table`` is (header, rows): csv writes it, and text writes each row as
+    "name=value" fields with "-" for a missing value.  csv prefers the table,
+    text the record.
+    """
+    if fmt == "json":
+        _print_json(doc, out)
+    elif fmt == "csv":
+        header, rows = table if table is not None else (("field", "value"), record)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    elif record is not None:
+        for key, value in record:
+            out.write(f"{key} {_cell(value)}\n")
+    else:
+        header, rows = table
+        for row in rows:
+            out.write(" ".join(f"{h}={_cell(v) or '-'}" for h, v in zip(header, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -317,49 +295,29 @@ def _set_arg(args) -> set[int]:
 
 
 def _coloring_from_args(args) -> Coloring:
+    """The --coloring spec, or the --kind flags spelled as the same spec."""
     if args.coloring:
         return parse_coloring_spec(args.coloring, args.seed)
     kind = args.kind
-
-    def need(*flags):
-        missing = [f for f in flags if getattr(args, f.lstrip("-"), None) is None]
-        if missing:
-            raise ParseError(f"{kind} needs {', '.join('--' + m for m in missing)}", "", None)
-
-    if kind == "power2":
-        need("a", "b")
-        return power_2coloring(args.a, args.b)
-    if kind == "geo3":
-        need("a", "b")
-        kw = {k: Fraction(getattr(args, k)) for k in ("l", "x", "y") if getattr(args, k)}
-        return geometric_3coloring(args.a, args.b, **kw)
-    if kind == "triple":
-        need("a", "b", "c")
-        kw = {k: Fraction(getattr(args, k)) for k in ("x", "l") if getattr(args, k)}
-        return triple_2coloring(args.a, args.b, args.c, **kw)
-    if kind == "recursive":
-        need("P", "Q")
-        kw = {}
-        if args.a0 is not None:
-            kw["a0"] = args.a0
-        if args.window is not None:
-            kw["window_n"] = args.window
-        return recursive_log_coloring(parse_poly(args.P), parse_poly(args.Q), **kw)
-    if kind == "case2":
-        need("P", "Q")
-        return case2_coloring(parse_poly(args.P), parse_poly(args.Q))
-    if kind == "periodic":
-        need("pattern")
-        return PeriodicColoring(_pattern_tok(args.pattern, args.pattern, 0))
-    if kind == "random":
-        return SeededRandomColoring(seed=args.seed, palette=args.k or 2)
-    if kind == "explicit":
-        need("pattern")
-        return ExplicitColoring(_pattern_tok(args.pattern, args.pattern, 0))
-    # file
-    need("path")
-    with open(args.path, "r", encoding="ascii") as fh:
-        return read_runlength(fh, descriptor=f"file@{args.path}")
+    if kind == "file":
+        if args.path is None:
+            raise ParseError("file needs --path", "", None)
+        return parse_coloring_spec(f"file@{args.path}")
+    positional, named, required, _ = _SIGNATURES[kind]
+    missing = [f"--{k}" for k in (*positional, *required) if getattr(args, k) is None]
+    if missing:
+        raise ParseError(f"{kind} needs {', '.join(missing)}", "", None)
+    values = {
+        k: str(getattr(args, k))
+        for k in (*positional, *named)
+        if getattr(args, k) is not None
+    }
+    for k, v in values.items():
+        if "," in v:
+            raise ParseError(f"--{k} may not contain ','", v, v.index(","))
+    params = [values[k] for k in positional]
+    params += [f"{k}={values[k]}" for k in named if k in values]
+    return parse_coloring_spec(f"{kind}:{','.join(params)}", args.seed)
 
 
 def _cmd_color(args, out: IO[str], err: IO[str]) -> int:
@@ -368,38 +326,25 @@ def _cmd_color(args, out: IO[str], err: IO[str]) -> int:
     if args.out == "runlength":
         write_runlength(c, n, out)
         return 0
-    w = c.window(n)
-    counts = [int(v) for v in w.counts()]
-    colors = w.colors[1:]
-    edges = np.nonzero(np.diff(colors))[0] + 1
-    starts = np.concatenate(([0], edges))
-    ends = np.concatenate((edges, [n]))
-    runs = [[int(colors[s]), int(e - s)] for s, e in zip(starts, ends)]
-    if args.out == "csv":
-        _print_csv([("color", "length")] + [tuple(r) for r in runs], out)
-        return 0
-    if args.out == "text":
-        _kv_lines(
-            [
-                ("descriptor", c.descriptor),
-                ("N", n),
-                ("palette", c.palette),
-                ("counts", " ".join(f"{i + 1}={v}" for i, v in enumerate(counts))),
-                ("runs", len(runs)),
-            ],
-            out,
-        )
-        return 0
-    _print_json(
-        {
-            "descriptor": c.descriptor,
-            "N": n,
-            "palette": c.palette,
-            "counts": counts,
-            "runs": runs,
-        },
-        out,
-    )
+    runs = [[color, length] for color, length in c.runs(n)]
+    counts = [0] * c.palette
+    for color, length in runs:
+        counts[color - 1] += length
+    doc = {
+        "descriptor": c.descriptor,
+        "N": n,
+        "palette": c.palette,
+        "counts": counts,
+        "runs": runs,
+    }
+    record = [
+        ("descriptor", c.descriptor),
+        ("N", n),
+        ("palette", c.palette),
+        ("counts", " ".join(f"{i + 1}={v}" for i, v in enumerate(counts))),
+        ("runs", len(runs)),
+    ]
+    _emit(args.out, out, doc, record=record, table=(("color", "length"), runs))
     return 0
 
 
@@ -420,22 +365,7 @@ def _cmd_search(args, out: IO[str], err: IO[str]) -> int:
             w, polys, r=args.r, maxC=args.maxC, candidate_cap=args.candidate_cap
         )
     doc = cfg.to_json(args.N)
-    if args.out == "csv":
-        rows = [("field", "value")] + [
-            (k, " ".join(map(str, v)) if isinstance(v, list) else _cell(v))
-            for k, v in doc.items()
-        ]
-        _print_csv(rows, out)
-    elif args.out == "text":
-        _kv_lines(
-            [
-                (k, " ".join(map(str, v)) if isinstance(v, list) else v)
-                for k, v in doc.items()
-            ],
-            out,
-        )
-    else:
-        _print_json(doc, out)
+    _emit(args.out, out, doc, record=doc.items())
     return 0
 
 
@@ -446,80 +376,31 @@ def _cmd_audit(args, out: IO[str], err: IO[str]) -> int:
         if args.n is None or args.color is None:
             raise ParseError("--growth needs --n and --color", "", None)
         rows = bad_set_growth(c, args.n, polys, args.color, _ints_arg(args.growth, "--growth"))
-        if args.out == "csv":
-            _print_csv(
-                [("M", "count", "max_element")]
-                + [(m, ct, _cell(me)) for m, ct, me in rows],
-                out,
-            )
-        elif args.out == "text":
-            for m, ct, me in rows:
-                out.write(f"M={m} count={ct} max_element={_cell(me) or '-'}\n")
-        else:
-            _print_json(
-                [
-                    {"M": m, "count": ct, "max_element": me}
-                    if me is not None
-                    else {"M": m, "count": ct}
-                    for m, ct, me in rows
-                ],
-                out,
-            )
-        return 0
-    if args.n_max is None:
-        raise ParseError("audit needs --n-max (or --growth with --n and --color)", "", None)
-    if args.M is None:
-        raise ParseError("audit needs --M", "", None)
-    color_list = [args.color] if args.color is not None else list(range(1, c.palette + 1))
-    tasks = [(n, i) for n in range(1, args.n_max + 1) for i in color_list]
-
-    def job(task):
-        n, i = task
-        return bad_set(c, n, polys, i, args.M)[1]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(job, tasks))
+        header = ("M", "count", "max_element")
     else:
-        reports = [job(t) for t in tasks]
-    docs = [r.to_json() for r in reports]
-    if args.out == "csv":
-        _print_csv(
-            [("n", "color", "count", "max_element", "M", "stabilized")]
-            + [
-                (
-                    d["n"],
-                    d["color"],
-                    d["count"],
-                    _cell(d["max_element"]),
-                    d["M"],
-                    _cell(d["stabilized"]),
-                )
-                for d in docs
-            ],
-            out,
-        )
-    elif args.out == "text":
-        for d in docs:
-            out.write(
-                f"n={d['n']} color={d['color']} count={d['count']} "
-                f"max_element={_cell(d['max_element']) or '-'} M={d['M']} "
-                f"stabilized={_cell(d['stabilized'])}\n"
-            )
-    else:
-        _print_json(docs, out)
+        if args.n_max is None:
+            raise ParseError("audit needs --n-max (or --growth with --n and --color)", "", None)
+        if args.M is None:
+            raise ParseError("audit needs --M", "", None)
+        # reports run serially: colorings extend their breakpoints and level
+        # sets lazily, so --threads is only a hint, as it is for search
+        colors = [args.color] if args.color is not None else range(1, c.palette + 1)
+        reports = [
+            bad_set(c, n, polys, i, args.M)[1]
+            for n in range(1, args.n_max + 1)
+            for i in colors
+        ]
+        header = ("n", "color", "count", "max_element", "M", "stabilized")
+        rows = [tuple(r.to_json().get(h) for h in header) for r in reports]
+    doc = [{h: v for h, v in zip(header, row) if v is not None} for row in rows]
+    _emit(args.out, out, doc, table=(header, rows))
     return 0
 
 
 def _cmd_ap(args, out: IO[str], err: IO[str]) -> int:
     start, diff, length = longest_ap(_set_arg(args))
     doc = {"start": start, "difference": diff, "length": length}
-    if args.out == "csv":
-        _print_csv([("start", "difference", "length"), (start, diff, length)], out)
-    elif args.out == "text":
-        out.write(f"start={start} difference={diff} length={length}\n")
-    else:
-        _print_json(doc, out)
+    _emit(args.out, out, doc, table=(tuple(doc), [tuple(doc.values())]))
     return 0
 
 
@@ -538,22 +419,8 @@ def _cmd_dynamics(args, out: IO[str], err: IO[str]) -> int:
                     rs.elements, M, _ints_arg(args.window_sizes, "--window-sizes")
                 )
             ]
-        if args.out == "csv":
-            _print_csv([("n",)] + [(n,) for n in rs.elements], out)
-        elif args.out == "text":
-            _kv_lines(
-                [
-                    ("a", rs.a),
-                    ("b", rs.b),
-                    ("h", rs.h),
-                    ("M", rs.M),
-                    ("count", len(rs.elements)),
-                    ("max_gap", doc["max_gap"]),
-                ],
-                out,
-            )
-        else:
-            _print_json(doc, out)
+        record = [(k, doc[k]) for k in ("a", "b", "h", "M", "count", "max_gap")]
+        _emit(args.out, out, doc, record=record, table=(("n",), [(n,) for n in rs.elements]))
         return 0
     if args.op == "dichotomy":
         if args.y is None or args.z is None or args.N is None:
@@ -564,12 +431,7 @@ def _cmd_dynamics(args, out: IO[str], err: IO[str]) -> int:
         zw = word_from_coloring(parse_coloring_spec(args.z, args.seed), args.N)
         d = dichotomy_detect(yw, zw, args.a, args.b, args.D, args.K)
         doc = {"found": d is not None, "d": d}
-        if args.out == "csv":
-            _print_csv([("found", "d"), (_cell(d is not None), _cell(d))], out)
-        elif args.out == "text":
-            out.write(f"found={_cell(d is not None)} d={_cell(d) or '-'}\n")
-        else:
-            _print_json(doc, out)
+        _emit(args.out, out, doc, table=(tuple(doc), [tuple(doc.values())]))
         return 0
     # density
     if args.M is None or not args.window_sizes:
@@ -577,13 +439,8 @@ def _cmd_dynamics(args, out: IO[str], err: IO[str]) -> int:
     prof = density_profile(
         _set_arg(args), args.M, _ints_arg(args.window_sizes, "--window-sizes")
     )
-    if args.out == "csv":
-        _print_csv([("window", "density")] + [(w_, _cell(v)) for w_, v in prof], out)
-    elif args.out == "text":
-        for w_, v in prof:
-            out.write(f"window={w_} density={_cell(v)}\n")
-    else:
-        _print_json([{"window": w_, "density": v} for w_, v in prof], out)
+    doc = [{"window": w_, "density": v} for w_, v in prof]
+    _emit(args.out, out, doc, table=(("window", "density"), prof))
     return 0
 
 
@@ -622,22 +479,7 @@ def _cmd_witness(args, out: IO[str], err: IO[str]) -> int:
         doc["e_chain"] = e_chain
     if verdict is not None:
         doc["check"] = verdict
-    if args.out == "csv":
-        rows = [("field", "value")] + [
-            (k, " ".join(map(str, v)) if isinstance(v, list) else _cell(v))
-            for k, v in doc.items()
-        ]
-        _print_csv(rows, out)
-    elif args.out == "text":
-        _kv_lines(
-            [
-                (k, " ".join(map(str, v)) if isinstance(v, list) else v)
-                for k, v in doc.items()
-            ],
-            out,
-        )
-    else:
-        _print_json(doc, out)
+    _emit(args.out, out, doc, record=doc.items())
     if args.check and not verdict:
         _print_json(
             {"error": "IdentityMismatch", "message": "sumset identity check failed"},
@@ -737,7 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=1,
-        help="parallel report workers; output order is fixed",
+        help="worker hint; results never depend on it",
     )
     _add_seed(p)
     _add_out(p)

@@ -170,6 +170,14 @@ class Coloring:
             yield int(colors[s]), int(e - s)
 
 
+def _positions(zs) -> np.ndarray:
+    """zs as an array, rejecting positions below 1 as color() does."""
+    zs = np.asarray(zs)
+    if zs.size and zs.min() < 1:
+        raise DomainError("positions start at 1")
+    return zs
+
+
 def window(coloring: Coloring, n: int) -> ColorWindow:
     return coloring.window(n)
 
@@ -404,8 +412,7 @@ class SeededRandomColoring(Coloring):
         return _mix64(self._base + n) % self.palette + 1
 
     def colors_at(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=np.uint64)
-        x = zs + np.uint64(self._base)
+        x = _positions(zs).astype(np.uint64) + np.uint64(self._base)
         x = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_MUL1)
         x = (x ^ (x >> np.uint64(27))) * np.uint64(_SM_MUL2)
         x = x ^ (x >> np.uint64(31))
@@ -432,7 +439,7 @@ class PeriodicColoring(Coloring):
         return self.pattern[(n - 1) % len(self.pattern)]
 
     def colors_at(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=np.int64)
+        zs = _positions(zs).astype(np.int64, copy=False)
         return self._arr[(zs - 1) % len(self.pattern)]
 
 
@@ -457,7 +464,7 @@ class ExplicitColoring(Coloring):
         return int(self.values[n - 1]) if n <= len(self.values) else 1
 
     def colors_at(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=np.int64)
+        zs = _positions(zs).astype(np.int64, copy=False)
         out = np.ones(zs.shape[0], dtype=np.uint8)
         inside = zs <= len(self.values)
         out[inside] = self.values[zs[inside] - 1]

@@ -15,7 +15,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .coloring import Coloring, ExplicitColoring, read_runlength, write_runlength
-from .errors import BadParams, DomainError, WindowOverrun
+from .errors import BadPair, BadParams, DomainError, WindowOverrun
 
 __all__ = [
     "Word",
@@ -114,7 +114,8 @@ def return_set(x: Word, a: int, b: int, h: int, M: int) -> ReturnSet:
 
     Requires h + b*M <= len(x) so every queried position exists.
     """
-    assert 0 < a < b, "requires 0 < a < b"
+    if not (0 < a < b):
+        raise BadPair(f"need 0 < a < b, got ({a}, {b})")
     if M < 1:
         raise DomainError(f"horizon must be positive, got {M}")
     if h < 0:
@@ -142,7 +143,8 @@ def dichotomy_detect(y: Word, z: Word, a: int, b: int, D: int, K: int) -> int | 
     its own progression: y(d) = y(d + a(b-a)k) and z(d) = z(d + b(b-a)k) for
     all 1 <= k <= K. Returns None when no such d exists.
     """
-    assert 0 < a < b, "requires 0 < a < b"
+    if not (0 < a < b):
+        raise BadPair(f"need 0 < a < b, got ({a}, {b})")
     if D < 1:
         raise DomainError(f"scan bound must be positive, got {D}")
     if K < 0:

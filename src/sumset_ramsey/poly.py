@@ -9,6 +9,7 @@ equal degree and equal leading coefficient.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import mpmath
-import sympy
 
 from .errors import (
     DomainError,
@@ -231,16 +231,59 @@ def psi_profile(P: IntPolynomial, Q: IntPolynomial) -> PsiProfile:
     return PsiProfile(delta=delta, c=c, case=case)
 
 
+def _neg_rem(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """A positive multiple of -(f mod g), as a primitive integer polynomial.
+
+    Pseudo-division that scales by |lead(g)| keeps every step integral and
+    the remainder's sign, which is all a Sturm sequence needs.
+    """
+    r = list(f)
+    lead = g[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    while len(r) >= len(g):
+        k = len(r) - len(g)
+        t = r[-1] * sign
+        r = [scale * c for c in r]
+        for i, c in enumerate(g):
+            r[i + k] -= t * c
+        _trim(r)
+    if not r:
+        return r
+    content = math.gcd(*r)
+    return [-c // content for c in r]
+
+
+def _sign_changes(values: Sequence[int]) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
 def _open_interval_root_free(coeffs: Sequence[int], a: int) -> bool:
-    """True when the polynomial has no real root in the open interval (a, oo)."""
+    """True when the polynomial has no real root in the open interval (a, oo).
+
+    Exact: roots sitting at a are divided out first, then Sturm's theorem
+    counts the distinct roots in (a, oo) as V(a) - V(oo) sign changes.
+    """
     cs = _trim(list(coeffs))
+    while len(cs) > 1 and _eval_coeffs(cs, a) == 0:
+        # synthetic division by (n - a); the remainder is cs(a) = 0
+        quot = [0] * (len(cs) - 1)
+        acc = 0
+        for k in range(len(cs) - 1, 0, -1):
+            acc = acc * a + cs[k]
+            quot[k - 1] = acc
+        cs = quot
     if len(cs) <= 1:
         return True
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(cs)), x)
-    total = poly.count_roots(inf=a)          # roots in [a, oo)
-    at_a = poly.count_roots(inf=a, sup=a)    # roots exactly at a
-    return (total - at_a) == 0
+    seq = [cs, _derive(cs)]
+    while len(seq[-1]) > 1:
+        rem = _neg_rem(seq[-2], seq[-1])
+        if not rem:
+            break
+        seq.append(rem)
+    at_a = _sign_changes([_eval_coeffs(p, a) for p in seq])
+    at_inf = _sign_changes([p[-1] for p in seq])
+    return at_a == at_inf
 
 
 @lru_cache(maxsize=256)

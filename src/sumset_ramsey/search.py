@@ -469,18 +469,17 @@ def longest_ap(S: Iterable[int]) -> tuple[int, int, int]:
 def gowers_threshold(k: int, N: int) -> mpmath.mpf:
     """ln of the density threshold N (log log N)^(-2^-2^(k+9)), in log space.
 
-    The dyadic exponent is applied by scaling ln ln ln N at a precision wide
-    enough that the subtraction from ln N is exact to the working precision
-    (capped; the correction is astronomically small but strictly positive).
+    The correction ln ln ln N * 2^-(2^(k+9)) is astronomically small but
+    strictly positive, so ln N is taken at a precision wide enough for the
+    subtraction to register (capped).  The correction itself needs only 128
+    bits: the dyadic scaling by ldexp is exact.
     """
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
     if N <= 15:
         raise DomainError(f"N must exceed e^e (so N >= 16), got {N}")
-    shift = 2 ** min(k + 9, 20)
-    prec = min(2**20, shift) + 64
-    with mpmath.workprec(prec):
+    with mpmath.workprec(2 ** min(k + 9, 20) + 64):
         lnN = mpmath.ln(N)
-        lll = mpmath.ln(mpmath.ln(mpmath.ln(N)))
-        corr = mpmath.ldexp(lll, -(2 ** (k + 9)))
-        return lnN - corr
+        with mpmath.workprec(128):
+            lll = mpmath.ln(mpmath.ln(lnN))
+        return lnN - mpmath.ldexp(lll, -(2 ** (k + 9)))

@@ -85,7 +85,7 @@ def test_color_json_document():
     assert sum(length for _, length in doc["runs"]) == 100
 
 
-def test_color_kind_flags_equivalent():
+def test_color_kind_flags_equivalent(tmp_path):
     code1, out1, _ = _run(
         "color", "--kind", "power2", "--a", "1", "--b", "2", "--N", "64", "--out", "json"
     )
@@ -94,6 +94,30 @@ def test_color_kind_flags_equivalent():
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+    # every kind's flags spell the same descriptor, errors included
+    path = tmp_path / "c.rl"
+    path.write_text("palette 2\nstart 1\n1 3\n2 5\n")
+    for flags, spec, code in (
+        ("--kind geo3 --a 1 --b 2", "geo3:1,2", 0),
+        ("--kind geo3 --a 1 --b 2 --l 4 --x 3 --y 8/5", "geo3:1,2,l=4,x=3,y=8/5", 0),
+        ("--kind geo3 --a 1 --b 2 --l abc", "geo3:1,2,l=abc", 2),
+        ("--kind geo3 --a 2 --b 1", "geo3:2,1", 1),
+        ("--kind triple --a 1 --b 2 --c 3 --x 5/2", "triple:1,2,3,x=5/2", 0),
+        ("--kind recursive --P n^2 --Q n^3 --a0 15 --window 5000",
+         "recursive:P=n^2,Q=n^3,a0=15,window=5000", 0),
+        ("--kind recursive --P n^2+1 --Q n^3", "recursive:P=n^2+1,Q=n^3", 2),
+        ("--kind case2 --P n^2 --Q n^2+n", "case2:P=n^2,Q=n^2+n", 0),
+        ("--kind periodic --pattern 112", "periodic:112", 0),
+        ("--kind explicit --pattern 1-2-3", "explicit:1-2-3", 0),
+        ("--kind random --seed 4 --k 3", "random:k=3 --seed 4", 0),
+        ("--kind random --k 0", "random:k=0", 1),
+        (f"--kind file --path {path}", f"file@{path}", 0),
+    ):
+        by_flags = _run("color", *flags.split(), "--N", "16")
+        by_spec = _run("color", "--coloring", *spec.split(), "--N", "16")
+        assert by_flags == by_spec, flags
+        assert by_flags[0] == code, by_flags
 
 
 def test_color_runlength_round_trip(tmp_path):
@@ -282,6 +306,35 @@ def test_dynamics_density_json():
     ]
 
 
+def test_dynamics_bad_pair_exit():
+    # an argument check, not an assert: it must hold under python -O too
+    argv = ["-m", "sumset_ramsey", "dynamics", "--op", "return", "--coloring",
+            "periodic:12", "--N", "100", "--a", "3", "--b", "1", "--h", "1", "--M", "20"]
+    for opt in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *opt, *argv], capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        obj = json.loads(proc.stderr)
+        jsonschema.validate(obj, SCHEMA)
+        assert obj["error"] == "BadPair"
+
+
+def test_audit_empty_bad_set_csv_and_text():
+    argv = ("audit", "--coloring", "triple:1,2,3", "--polys", "n,2n,3n",
+            "--n-max", "1", "--M", "1000")
+    assert _run(*argv, "--out", "csv") == (
+        0,
+        "n,color,count,max_element,M,stabilized\n1,1,4,4,1000,true\n1,2,0,,1000,true\n",
+        "",
+    )
+    assert _run(*argv, "--out", "text") == (
+        0,
+        "n=1 color=1 count=4 max_element=4 M=1000 stabilized=true\n"
+        "n=1 color=2 count=0 max_element=- M=1000 stabilized=true\n",
+        "",
+    )
+
+
 def test_dynamics_window_overrun_exit():
     code, out, err = _run(
         "dynamics", "--op", "return", "--coloring", "periodic:12", "--N", "10",
@@ -389,6 +442,16 @@ def test_env_window_cap(tmp_path):
     assert obj["error"] == "DomainError"
 
 
+def test_import_leaves_sympy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sumset_ramsey; "
+         "print(sorted(m for m in sys.modules if m.startswith('sympy')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "sumset_ramsey", "--help"],
@@ -397,3 +460,144 @@ def test_entry_point_help():
     assert proc.returncode == 0
     for sub in ("color", "search", "audit", "ap", "dynamics", "witness"):
         assert sub in proc.stdout
+
+# Exact stdout, stderr and exit code per subcommand and --out format: the
+# emitter and the coloring grammar may change shape, these bytes may not.
+PINNED_OUTPUTS = [
+    ('color --coloring power2:1,2 --N 20 --out json', 0,
+     '{"descriptor": "power2:1,2", "N": 20, "palette": 2, "counts": [12, 8], "runs": [[1, 7], [2, 8], [1, 5]]}\n',
+     ''),
+    ('color --coloring power2:1,2 --N 20 --out csv', 0,
+     'color,length\n1,7\n2,8\n1,5\n',
+     ''),
+    ('color --coloring power2:1,2 --N 20 --out text', 0,
+     'descriptor power2:1,2\nN 20\npalette 2\ncounts 1=12 2=8\nruns 3\n',
+     ''),
+    ('color --coloring power2:1,2 --N 20 --out runlength', 0,
+     'palette 2\nstart 1\n1 7\n2 8\n1 5\n',
+     ''),
+    ('color --kind triple --a 1 --b 2 --c 3 --N 30 --out text', 0,
+     'descriptor triple:1,2,3,x=5/2,l=25/4\nN 30\npalette 2\ncounts 1=15 2=15\nruns 2\n',
+     ''),
+    ('search --coloring periodic:12 --polys n,2n --N 60 --r 2 --maxC 3 --out json', 0,
+     '{"B": [1, 3], "C": [2, 4, 6], "polys": ["n", "2n"], "color": 1, "N": 60, "strategy": "greedy", "survivors": 24}\n',
+     ''),
+    ('search --coloring periodic:12 --polys n,2n --N 60 --r 2 --maxC 3 --out csv', 0,
+     'field,value\nB,1 3\nC,2 4 6\npolys,n 2n\ncolor,1\nN,60\nstrategy,greedy\nsurvivors,24\n',
+     ''),
+    ('search --coloring periodic:12 --polys n,2n --N 60 --r 2 --maxC 3 --out text', 0,
+     'B 1 3\nC 2 4 6\npolys n 2n\ncolor 1\nN 60\nstrategy greedy\nsurvivors 24\n',
+     ''),
+    ('search --coloring periodic:112 --polys n,2n --N 40 --r 2 --strategy exhaustive --sizeC 2', 0,
+     '{"B": [1, 2], "C": [3, 6], "polys": ["n", "2n"], "color": 1, "N": 40, "strategy": "exhaustive", "survivors": 19}\n',
+     ''),
+    ('audit --coloring power2:1,2 --polys n,2n --n-max 2 --M 500 --out json', 0,
+     '[{"n": 1, "color": 1, "count": 6, "max_element": 255, "M": 500, "stabilized": false}, {"n": 1, "color": 2, "count": 3, "max_element": 127, "M": 500, "stabilized": true}, {"n": 2, "color": 1, "count": 5, "max_element": 254, "M": 500, "stabilized": false}, {"n": 2, "color": 2, "count": 3, "max_element": 126, "M": 500, "stabilized": true}]\n',
+     ''),
+    ('audit --coloring power2:1,2 --polys n,2n --n-max 2 --M 500 --out csv', 0,
+     'n,color,count,max_element,M,stabilized\n1,1,6,255,500,false\n1,2,3,127,500,true\n2,1,5,254,500,false\n2,2,3,126,500,true\n',
+     ''),
+    ('audit --coloring power2:1,2 --polys n,2n --n-max 2 --M 500 --out text', 0,
+     'n=1 color=1 count=6 max_element=255 M=500 stabilized=false\nn=1 color=2 count=3 max_element=127 M=500 stabilized=true\nn=2 color=1 count=5 max_element=254 M=500 stabilized=false\nn=2 color=2 count=3 max_element=126 M=500 stabilized=true\n',
+     ''),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n-max 2 --M 1000', 0,
+     '[{"n": 1, "color": 1, "count": 4, "max_element": 4, "M": 1000, "stabilized": true}, {"n": 1, "color": 2, "count": 0, "M": 1000, "stabilized": true}, {"n": 2, "color": 1, "count": 4, "max_element": 4, "M": 1000, "stabilized": true}, {"n": 2, "color": 2, "count": 0, "M": 1000, "stabilized": true}]\n',
+     ''),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n-max 2 --M 1000 --threads 2', 0,
+     '[{"n": 1, "color": 1, "count": 4, "max_element": 4, "M": 1000, "stabilized": true}, {"n": 1, "color": 2, "count": 0, "M": 1000, "stabilized": true}, {"n": 2, "color": 1, "count": 4, "max_element": 4, "M": 1000, "stabilized": true}, {"n": 2, "color": 2, "count": 0, "M": 1000, "stabilized": true}]\n',
+     ''),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 1 --growth 2,10,1000 --out json', 0,
+     '[{"M": 2, "count": 2, "max_element": 2}, {"M": 10, "count": 4, "max_element": 4}, {"M": 1000, "count": 4, "max_element": 4}]\n',
+     ''),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 1 --growth 2,10,1000 --out csv', 0,
+     'M,count,max_element\n2,2,2\n10,4,4\n1000,4,4\n',
+     ''),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 1 --growth 2,10,1000 --out text', 0,
+     'M=2 count=2 max_element=2\nM=10 count=4 max_element=4\nM=1000 count=4 max_element=4\n',
+     ''),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 2 --growth 10,1000 --out json', 0,
+     '[{"M": 10, "count": 0}, {"M": 1000, "count": 0}]\n',
+     ''),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 2 --growth 10,1000 --out csv', 0,
+     'M,count,max_element\n10,0,\n1000,0,\n',
+     ''),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 2 --growth 10,1000 --out text', 0,
+     'M=10 count=0 max_element=-\nM=1000 count=0 max_element=-\n',
+     ''),
+    ('ap --set 1,2,3,5,7,9 --out json', 0,
+     '{"start": 1, "difference": 2, "length": 5}\n',
+     ''),
+    ('ap --set 1,2,3,5,7,9 --out csv', 0,
+     'start,difference,length\n1,2,5\n',
+     ''),
+    ('ap --set 1,2,3,5,7,9 --out text', 0,
+     'start=1 difference=2 length=5\n',
+     ''),
+    ('dynamics --op return --coloring periodic:12 --N 100 --a 1 --b 3 --h 1 --M 20 --window-sizes 5,10 --out json', 0,
+     '{"a": 1, "b": 3, "h": 1, "M": 20, "count": 20, "max_gap": 1, "elements": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20], "density": [[5, 1.0], [10, 1.0]]}\n',
+     ''),
+    ('dynamics --op return --coloring periodic:12 --N 100 --a 1 --b 3 --h 1 --M 20 --window-sizes 5,10 --out csv', 0,
+     'n\n1\n2\n3\n4\n5\n6\n7\n8\n9\n10\n11\n12\n13\n14\n15\n16\n17\n18\n19\n20\n',
+     ''),
+    ('dynamics --op return --coloring periodic:12 --N 100 --a 1 --b 3 --h 1 --M 20 --window-sizes 5,10 --out text', 0,
+     'a 1\nb 3\nh 1\nM 20\ncount 20\nmax_gap 1\n',
+     ''),
+    ('dynamics --op dichotomy --y periodic:1 --z periodic:2 --N 100 --a 1 --b 2 --D 5 --K 10 --out json', 0,
+     '{"found": true, "d": 1}\n',
+     ''),
+    ('dynamics --op dichotomy --y periodic:1 --z periodic:2 --N 100 --a 1 --b 2 --D 5 --K 10 --out csv', 0,
+     'found,d\ntrue,1\n',
+     ''),
+    ('dynamics --op dichotomy --y periodic:1 --z periodic:2 --N 100 --a 1 --b 2 --D 5 --K 10 --out text', 0,
+     'found=true d=1\n',
+     ''),
+    ('dynamics --op dichotomy --y periodic:12 --z periodic:12 --N 100 --a 1 --b 2 --D 5 --K 10 --out json', 0,
+     '{"found": false, "d": null}\n',
+     ''),
+    ('dynamics --op dichotomy --y periodic:12 --z periodic:12 --N 100 --a 1 --b 2 --D 5 --K 10 --out csv', 0,
+     'found,d\nfalse,\n',
+     ''),
+    ('dynamics --op dichotomy --y periodic:12 --z periodic:12 --N 100 --a 1 --b 2 --D 5 --K 10 --out text', 0,
+     'found=false d=-\n',
+     ''),
+    ('dynamics --op density --set 2,4,6,8,10 --M 10 --window-sizes 2,5 --out json', 0,
+     '[{"window": 2, "density": 0.5}, {"window": 5, "density": 0.6}]\n',
+     ''),
+    ('dynamics --op density --set 2,4,6,8,10 --M 10 --window-sizes 2,5 --out csv', 0,
+     'window,density\n2,0.5\n5,0.6\n',
+     ''),
+    ('dynamics --op density --set 2,4,6,8,10 --M 10 --window-sizes 2,5 --out text', 0,
+     'window=2 density=0.5\nwindow=5 density=0.6\n',
+     ''),
+    ('witness --variant stepI --a 1 --b 2 --s 1 --t 1 --r 2 --d 10,20 --check --out json', 0,
+     '{"variant": "StepI", "a": 1, "b": 2, "r": 2, "d_tilde": 0, "B": [4, 5], "C": [7, 17], "check": true}\n',
+     ''),
+    ('witness --variant stepI --a 1 --b 2 --s 1 --t 1 --r 2 --d 10,20 --check --out csv', 0,
+     'field,value\nvariant,StepI\na,1\nb,2\nr,2\nd_tilde,0\nB,4 5\nC,7 17\ncheck,true\n',
+     ''),
+    ('witness --variant stepI --a 1 --b 2 --s 1 --t 1 --r 2 --d 10,20 --check --out text', 0,
+     'variant StepI\na 1\nb 2\nr 2\nd_tilde 0\nB 4 5\nC 7 17\ncheck true\n',
+     ''),
+    ('witness --variant caseI --a 1 --b 2 --r 2 --E 2 --v 100 --out text', 0,
+     'variant CaseI\na 1\nb 2\nr 2\nd_tilde 0\nB 10 12\nC 92\ne_chain unchecked\n',
+     ''),
+    ('color --coloring power2:9 --N 10', 2,
+     '',
+     '{"error": "ParseError", "message": "power2 takes 2 positional parameter(s), got 1 (at position 8 in \'power2:9\')", "text": "power2:9", "pos": 8}\n'),
+    ('color --kind power2 --a 1 --N 10', 2,
+     '',
+     '{"error": "ParseError", "message": "power2 needs --b", "text": "", "pos": null}\n'),
+    ('search --coloring periodic:12 --polys n,2n --N 6 --r 7', 1,
+     '',
+     '{"error": "NoConfiguration", "message": "no single candidate keeps 7 survivors in any color"}\n'),
+    ('witness --variant stepI --a 2 --b 3 --s 1 --t 3 --r 1 --d 50', 1,
+     '',
+     '{"error": "DivisibilityError", "message": "a = 2 must divide t = 3"}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout,stderr", PINNED_OUTPUTS, ids=[case[0] for case in PINNED_OUTPUTS]
+)
+def test_cli_output_pinned(argv, code, stdout, stderr):
+    assert _run(*argv.split()) == (code, stdout, stderr)

@@ -8,8 +8,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sumset_ramsey import (
+    ExplicitColoring,
+    PeriodicColoring,
+    SeededRandomColoring,
     case2_coloring,
     check_admissible,
     custom_coloring,
@@ -29,6 +34,7 @@ from sumset_ramsey.errors import (
     EmptyPattern,
     InadmissibleA0,
     NoAdmissibleA0,
+    SumsetRamseyError,
     WindowTooSmall,
 )
 
@@ -405,6 +411,38 @@ def test_colors_at_matches_scalar():
         vec = c.colors_at(ns)
         for n, v in zip(ns.tolist(), vec.tolist()):
             assert c.color(n) == v
+
+
+@pytest.fixture(scope="module")
+def every_kind():
+    return [
+        power_2coloring(1, 2),
+        geometric_3coloring(1, 2),
+        triple_2coloring(1, 2, 3),
+        case2_coloring(N2, parse_poly("n^2 + n")),
+        recursive_log_coloring(N2, N3, a0=15, window_n=10**4),
+        PeriodicColoring([1, 1, 2]),
+        SeededRandomColoring(seed=5, palette=3),
+        ExplicitColoring([2, 1, 2, 2]),
+    ]
+
+
+def _outcome(f):
+    try:
+        return f()
+    except SumsetRamseyError as exc:
+        return type(exc)
+
+
+@given(
+    which=st.integers(0, 7),
+    zs=st.lists(st.one_of(st.integers(-3, 50), st.integers(1, 10**6)), max_size=20),
+)
+def test_colors_at_agrees_with_color(every_kind, which, zs):
+    c = every_kind[which]
+    vec = _outcome(lambda: c.colors_at(np.array(zs, dtype=np.int64)).tolist())
+    scalar = _outcome(lambda: [c.color(z) for z in zs])
+    assert vec == scalar
 
 
 def test_runs_reconstruct_colors():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sumset_ramsey import (
     DomainError,
@@ -19,7 +21,7 @@ from sumset_ramsey import (
     psi_profile,
 )
 from sumset_ramsey.errors import EqualPolynomials, NotCaseII
-from sumset_ramsey.poly import BandPart, GrowthCase
+from sumset_ramsey.poly import BandPart, GrowthCase, _open_interval_root_free
 
 
 def test_eval_fixed_values():
@@ -276,3 +278,55 @@ def test_a_star_monotone_beyond_threshold():
             assert Q(n) > P(n) >= 1
             prev_p = P(n)
             prev_q = Q(n)
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
+@given(
+    a=st.integers(-5, 20),
+    roots=st.lists(st.tuples(st.integers(-10, 30), st.integers(1, 3)), max_size=4),
+    at_a=st.integers(0, 2),
+    quadratics=st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 40)), max_size=2),
+    lead=st.sampled_from([-3, -1, 1, 2]),
+)
+def test_open_interval_root_free_known_roots(a, roots, at_a, quadratics, lead):
+    # lead * prod (n - r)^m * prod (n^2 + b n + c) with b^2 < 4c, so the real
+    # roots are exactly the r's; those equal to a lie outside (a, oo)
+    cs = [lead]
+    for r, m in roots + [(a, at_a)]:
+        for _ in range(m):
+            cs = _times(cs, [-r, 1])
+    for b, c in quadratics:
+        cs = _times(cs, [max(c, b * b // 4 + 1), b, 1])
+    assert _open_interval_root_free(cs, a) == all(r <= a for r, _ in roots)
+
+
+@pytest.mark.parametrize(
+    "pt,qt,want",
+    [
+        ("n^2", "n^3", 1),
+        ("n^2", "n^2", 1),
+        ("n^2", "n^2 + n", 1),
+        ("n^2", "n^2 + 2n", 1),
+        ("2n^2", "3n^3 + n", 1),
+        ("n^3 - n", "n^3 + 3n^2 + 2n", 2),
+        ("2n^2 + n", "n^3 - n", 3),
+        ("n^5", "2n^5", 1),
+        ("n", "2n", 1),
+        ("n", "3n", 1),
+        ("2n^2 - 4n", "5n^3 - 23n^2 + 4n", 5),
+        ("5n^3 - 23n^2 - 26n", "2n^5 - 9n^4 + 18n^3 - 20n^2 - 4n", 6),
+        ("5n", "5n^5 - 28n^4 - 16n^3 - 27n^2 - 5n", 7),
+        ("2n^3 - 6n^2 + 26n", "2n^6 - 16n^5 - 21n^4 - 19n^3 - 25n^2 - 21n", 10),
+        ("5n", "n^4 - 12n^3 - 14n^2 - 19n", 14),
+        ("4n", "n^2 - 20n", 24),
+    ],
+)
+def test_a_star_fixed_values(pt, qt, want):
+    assert a_star(parse_poly(pt), parse_poly(qt)) == want

@@ -357,6 +357,20 @@ def test_gowers_threshold_fixed():
         assert abs(diff - want) / want < mpmath.mpf("1e-15")
 
 
+def _gowers_reference(k, N):
+    # the full-precision formula: every logarithm at the subtraction's width
+    with mpmath.workprec(2 ** min(k + 9, 20) + 64):
+        lnN = mpmath.ln(N)
+        lll = mpmath.ln(mpmath.ln(mpmath.ln(N)))
+        return lnN - mpmath.ldexp(lll, -(2 ** (k + 9)))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_gowers_threshold_matches_full_precision(k):
+    for N in (16, 17, 100, 1007, 10**6, 2**40 + 3, 10**30):
+        assert gowers_threshold(k, N) == _gowers_reference(k, N)
+
+
 def test_gowers_threshold_monotone():
     # increasing in k at fixed N; corrections shrink as 2^-2^(k+9) so the
     # comparisons ride on the stored high-precision mantissas
