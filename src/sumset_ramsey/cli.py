@@ -494,6 +494,17 @@ def _cmd_witness(args, out: IO[str], err: IO[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ParseError (exit 2, as JSON).
+
+    Subcommand parsers inherit the class, so every usage error takes this path;
+    --help still prints its text and exits 0.
+    """
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -520,7 +531,7 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sumset-ramsey",
         description="Monochromatic sumset colorings, searches, and audits.",
     )
@@ -646,11 +657,9 @@ def run(
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
-    except SystemExit as exc:
+        return args.handler(args, out, err)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    handler: Callable = args.handler
-    try:
-        return handler(args, out, err)
     except ParseError as exc:
         _print_json(
             {

@@ -297,7 +297,8 @@ def geometric_3coloring(
         y = Fraction(y)
     if not (lo < y and y * y < x):
         raise BadParams(f"y must lie in (x*a/b, sqrt(x)), got {y}")
-    assert 1 < y < x < l
+    if not (1 < y < x < l):
+        raise DomainError(f"geo3 band points must satisfy 1 < y < x < l, got {y}, {x}, {l}")
 
     def points(m: int):
         lm = l**m
@@ -692,7 +693,8 @@ class RecursiveLogColoring(Coloring):
         self.levels = self._materialize(window_n)
         for lo_set, hi_set in zip(self.levels[1:], self.levels[:-1]):
             if lo_set and hi_set:
-                assert min(lo_set) > max(hi_set), "level sets must be separated"
+                if min(lo_set) <= max(hi_set):
+                    raise DomainError("level sets must be separated")
 
     # -- level ladder -------------------------------------------------------
 
@@ -706,8 +708,10 @@ class RecursiveLogColoring(Coloring):
         if len(self._a) >= 2:
             # level sets may dip below their band edge but never into the band
             # two levels down, and the dip bounds must stay ordered
-            assert self._clo[-1] > self._blo[-2], "level lower bound fell too far"
-            assert self._clo[-1] >= self._clo[-2], "level lower bounds not monotone"
+            if self._clo[-1] <= self._blo[-2]:
+                raise DomainError("level lower bound fell too far")
+            if self._clo[-1] < self._clo[-2]:
+                raise DomainError("level lower bounds not monotone")
 
     def _ensure_cover(self, z: int) -> None:
         """Extend the ladder until the top edge exceeds z."""

@@ -472,5 +472,6 @@ def band_offset(P: IntPolynomial, Q: IntPolynomial) -> BandOffset:
             raise DomainError("band inequality never stabilizes")
         n0 = max(n0, v)
     for n in range(n0, n0 + 1001):
-        assert P(n) > 1 and P(n + l - 1) <= Q(n) < P(n + l)
+        if not (P(n) > 1 and P(n + l - 1) <= Q(n) < P(n + l)):
+            raise DomainError(f"band inequality fails at n = {n} past N0 = {n0}")
     return BandOffset(l=l, n0=n0, part=part, k1=k1, k2=k2)

@@ -4,9 +4,10 @@ The engine looks for pairs of sets (B, C) with every value h + P(k), h in B,
 k in C, P in the polynomial list, landing in one fixed color class.  The core
 object is the survivor bit-vector: positions b that still satisfy all
 constraints imposed by the current C.  Greedy growth of C alternates between
-whole-vector shifted-AND steps (fast while survivors are plentiful) and a
-packed survivor-by-candidate bit matrix once few survivors remain, which makes
-late greedy steps nearly free and scans every candidate exactly.
+shifted-AND steps that score a block of candidates per numpy call, reading
+shifted masks from a table of eight bit-offset copies (fast while survivors
+are plentiful), and a packed survivor-by-candidate bit matrix once few
+survivors remain, which makes late greedy steps nearly free.
 
 Also here: bad-set enumeration with stabilization reports, a longest-AP
 dynamic program, and the log-space Gowers density threshold.
@@ -128,11 +129,34 @@ def _poly_values(P: IntPolynomial, cs: np.ndarray) -> np.ndarray:
     return P(cs) if bound < (1 << 62) else P(cs.astype(object))
 
 
+def _poly_bound(P: IntPolynomial, n: int) -> int:
+    """Smallest U with a*U > S and U^(d-1) * (a*U - S) > n.
+
+    a is the lead, d the degree and S the sum of |lower coefficients|.  For
+    c >= 1, P(c) >= c^(d-1) * (a*c - S), which grows with c once a*c > S, so
+    P(c) > n for every c >= U.
+    """
+    a, d = P.lead, P.degree
+    S = sum(abs(c) for c in P.coeffs[:-1])
+
+    def above(u: int) -> bool:
+        return u ** (d - 1) * (a * u - S) > n
+
+    lo = hi = S // a + 1
+    while not above(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _candidates(w: ColorWindow, polys: Sequence[IntPolynomial]) -> np.ndarray:
     """All c >= 1 with max_P P(c) <= N, ascending."""
-    # beyond N plus the coefficient mass, every P exceeds N
-    slack = max(sum(abs(c) for c in P.coeffs) for P in polys)
-    cs = np.arange(1, w.n + slack + 1, dtype=np.int64)
+    cs = np.arange(1, min(_poly_bound(P, w.n) for P in polys), dtype=np.int64)
     keep = np.ones(cs.shape[0], dtype=bool)
     for P in polys:
         keep &= _poly_values(P, cs) <= w.n
@@ -141,37 +165,9 @@ def _candidates(w: ColorWindow, polys: Sequence[IntPolynomial]) -> np.ndarray:
 
 _GATHER_THRESHOLD = 64
 
-
-def _shift_words(arr: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """out = arr >> k as one long bit string (bit b of out = bit b+k of arr)."""
-    out[:] = 0
-    word, bit = k >> 6, k & 63
-    L = arr.shape[0]
-    if word >= L:
-        return out
-    a = arr[word:]
-    if bit == 0:
-        out[: L - word] = a
-    else:
-        np.right_shift(a, np.uint64(bit), out=out[: L - word])
-        out[: L - word - 1] |= a[1:] << np.uint64(64 - bit)
-    return out
-
-
-def _shift_words_left(arr: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """out = arr << k as one long bit string."""
-    out[:] = 0
-    word, bit = k >> 6, k & 63
-    L = arr.shape[0]
-    if word >= L:
-        return out
-    a = arr[: L - word]
-    if bit == 0:
-        out[word:] = a
-    else:
-        np.left_shift(a, np.uint64(bit), out=out[word:])
-        out[word + 1 :] |= a[:-1] >> np.uint64(64 - bit)
-    return out
+# bytes of shifted masks gathered per numpy call in phase A, per polynomial;
+# small enough for a block to stay in cache
+_BLOCK_BYTES = 1 << 18
 
 
 def _mask_words(mask: int, nwords: int) -> np.ndarray:
@@ -180,6 +176,24 @@ def _mask_words(mask: int, nwords: int) -> np.ndarray:
 
 def _words_to_int(words: np.ndarray) -> int:
     return int.from_bytes(words.tobytes(), "little")
+
+
+def _shift_table(w: ColorWindow, color: int, front: int, nbytes: int) -> np.ndarray:
+    """8 bit-offset copies of the color mask, each a row of `nbytes` bytes.
+
+    The mask sits after `front` zero bytes; bit i of row t is bit i + t of the
+    padded mask, so the mask shifted right by k bits starts in row k & 7 at
+    byte front + (k >> 3).
+    """
+    bits = np.packbits(w.colors == color, bitorder="little")
+    base = np.zeros(nbytes + 1, dtype=np.uint8)
+    base[front : front + bits.shape[0]] = bits
+    table = np.empty((8, nbytes), dtype=np.uint8)
+    table[0] = base[:-1]
+    for t in range(1, 8):
+        np.right_shift(base[:-1], t, out=table[t])
+        table[t] |= base[1:] << (8 - t)
+    return table
 
 
 def _greedy_one_color(
@@ -193,14 +207,9 @@ def _greedy_one_color(
 ) -> tuple[list[int], int, int] | None:
     """Greedy C growth for one color: (C, survivor mask popcount, mask)."""
     nwords = (w.n + 64) // 64
-    sw = _mask_words(w.mask(color), nwords)
     vw = _mask_words(_full_mask(w.n), nwords)
     vcount = w.n
-    tmp = np.empty(nwords, dtype=np.uint64)
-    v2 = np.empty(nwords, dtype=np.uint64)
-    best_vw = np.empty(nwords, dtype=np.uint64)
-    chosen: list[int] = []
-    used: set[int] = set()
+    picked: list[int] = []  # pool indices, in pick order
     cols: np.ndarray | None = None
     surv: np.ndarray | None = None
     vmask = 0
@@ -208,36 +217,49 @@ def _greedy_one_color(
     if cap is not None and pool.shape[0] > cap:
         stride = -(-pool.shape[0] // cap)
         pool = pool[::stride]
+    if pool.shape[0] == 0:
+        return None
     # shifts beyond the window clip to n+1: the shifted mask comes out empty
     # either way, and clipped values index the dead padding in phase B
     pvals = [
         np.clip(_poly_values(P, pool), -(w.n + 1), w.n + 1).astype(np.int64)
         for P in polys
     ]
-    pool_list = pool.tolist()
+    # phase A reads the mask shifted by k as nwords words of the shift table
+    lo = min(0, min(int(pv.min()) for pv in pvals))
+    hi = max(0, max(int(pv.max()) for pv in pvals))
+    front = -(lo // 8)
+    table = _shift_table(w, color, front, front + (hi >> 3) + 8 * nwords)
+    windows = np.lib.stride_tricks.sliding_window_view(table, 8 * nwords, axis=1)
+    shifts = [(pv & 7, front + (pv >> 3)) for pv in pvals]
+    block = max(1, _BLOCK_BYTES // (8 * nwords))
 
-    while len(chosen) < maxC:
+    def survivors_with(rows: slice) -> np.ndarray:
+        """Survivor words after adding each pool candidate in `rows`, one row each."""
+        acc = None
+        for row, off in shifts:
+            words = windows[row[rows], off[rows]].view(np.uint64)
+            if acc is None:
+                acc = words
+                acc &= vw
+            else:
+                acc &= words
+        return acc
+
+    while len(picked) < maxC:
         if vcount > _GATHER_THRESHOLD:
-            # phase A: shifted-AND scan of the candidate pool
-            best_c, best_n = 0, r - 1
-            for i, c in enumerate(pool_list):
-                if c in used:
-                    continue
-                np.copyto(v2, vw)
-                for pv in pvals:
-                    k = int(pv[i])
-                    sh = _shift_words(sw, k, tmp) if k >= 0 else _shift_words_left(sw, -k, tmp)
-                    v2 &= sh
-                n2 = int(np.bitwise_count(v2).sum())
-                if n2 > best_n:
-                    best_c, best_n = c, n2
-                    np.copyto(best_vw, v2)
-            if best_c == 0:
+            # phase A: survivor counts of a block of candidates per numpy call
+            counts = np.empty(pool.shape[0], dtype=np.int64)
+            for b in range(0, pool.shape[0], block):
+                rows = slice(b, b + block)
+                counts[rows] = np.bitwise_count(survivors_with(rows)).sum(axis=1)
+            counts[picked] = 0
+            pick = int(counts.argmax())
+            if counts[pick] < r:
                 break
-            chosen.append(best_c)
-            used.add(best_c)
-            np.copyto(vw, best_vw)
-            vcount = best_n
+            picked.append(pick)
+            vw = survivors_with(slice(pick, pick + 1))[0]
+            vcount = int(counts[pick])
             continue
 
         # phase B: packed survivor-by-candidate matrix, scans every candidate
@@ -253,23 +275,18 @@ def _greedy_one_color(
                 for pv in pvals:
                     acc &= okpad[np.clip(b + pv, 0, 2 * w.n + 1)]
                 cols |= acc.astype(np.uint64) << np.uint64(i)
-            for c in chosen:
-                idx = np.searchsorted(pool, c)
-                if idx < pool.shape[0] and pool[idx] == c:
-                    cols[idx] = 0
+            cols[picked] = 0
         counts = np.bitwise_count(cols & np.uint64(vmask))
-        best = int(counts.max()) if counts.size else 0
+        best = int(counts.max())
         if best < r:
             break
         pick = int(np.nonzero(counts == best)[0][0])
-        c = int(pool[pick])
-        chosen.append(c)
-        used.add(c)
+        picked.append(pick)
         vmask &= int(cols[pick])
         cols[pick] = 0
         vcount = best
 
-    if not chosen:
+    if not picked:
         return None
     if surv is not None:
         v = 0
@@ -278,7 +295,7 @@ def _greedy_one_color(
                 v |= 1 << int(surv[i])
     else:
         v = _words_to_int(vw)
-    return chosen, vcount, v
+    return pool[picked].tolist(), vcount, v
 
 
 def greedy_search(

@@ -395,17 +395,38 @@ def test_witness_domain_error_exit():
     assert obj["error"] == "DivisibilityError"
 
 
+def _usage_error(err, *fragments):
+    obj = _validated(err)
+    jsonschema.validate(obj, {"$ref": "#/$defs/errorObject", "$defs": SCHEMA["$defs"]})
+    assert obj["error"] == "ParseError"
+    for fragment in fragments:
+        assert fragment in obj["message"]
+
+
 def test_usage_errors_exit_2():
     code, _, err = _run("color", "--coloring", "power2:1,2")
     assert code == 2
+    _usage_error(err, "color", "required", "--N")
 
     code, _, err = _run("color", "--coloring", "power2:9", "--N", "10")
     assert code == 2
     obj = json.loads(err)
     assert obj["error"] == "ParseError"
 
-    code, _, _ = _run("nosuchcommand")
+    code, out, err = _run("search", "--coloring", "power2:1,2", "--polys", "n,2n",
+                          "--N", "10", "--r", "x")
     assert code == 2
+    assert out == ""
+    _usage_error(err, "--r", "'x'")
+
+    code, _, err = _run("nosuchcommand")
+    assert code == 2
+    _usage_error(err, "nosuchcommand")
+
+    code, out, err = _run("search", "--help")
+    assert code == 0
+    assert out.startswith("usage: sumset-ramsey search")
+    assert err == ""
 
 
 def test_json_outputs_byte_identical():

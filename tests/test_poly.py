@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic, growth profiles, and band offsets."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -21,6 +23,7 @@ from sumset_ramsey import (
     psi_profile,
 )
 from sumset_ramsey.errors import EqualPolynomials, NotCaseII
+from sumset_ramsey import poly
 from sumset_ramsey.poly import BandPart, GrowthCase, _open_interval_root_free
 
 
@@ -180,6 +183,23 @@ def test_band_offset_fixed():
     assert b.l == 2
     assert b.part is BandPart.PART_III
     assert b.k2 == 0
+
+
+def test_band_offset_check_raises(monkeypatch):
+    # with N0 forced down to 1, P(1) = 1 breaks "P(n) > 1": the check loop
+    # must raise a package error, which python -O keeps (an assert would not)
+    monkeypatch.setattr(poly, "_positive_from", lambda cs, allow_zero: 1)
+    with pytest.raises(DomainError, match="band inequality fails at n = 1"):
+        band_offset(parse_poly("n^2"), parse_poly("n^2 + n"))
+
+
+def test_package_has_no_assert():
+    # argument and invariant checks raise package errors; asserts vanish under -O
+    src = Path(poly.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
 
 
 def test_band_offset_not_case_ii():

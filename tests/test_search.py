@@ -7,6 +7,8 @@ from itertools import combinations
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumset_ramsey import (
     Configuration,
@@ -27,6 +29,7 @@ from sumset_ramsey import (
     window,
 )
 from sumset_ramsey.errors import EmptySet
+from sumset_ramsey.search import _candidates
 
 LIN = (parse_poly("n"), parse_poly("2 n"))
 PAR = (parse_poly("n"), parse_poly("3 n"))
@@ -153,6 +156,105 @@ def test_greedy_results_verify():
         assert verify_config(c, cfg) == cfg.color
         assert list(cfg.B) == sorted(set(cfg.B))
         assert list(cfg.C) == sorted(set(cfg.C))
+
+
+ORACLE_POLYS = {
+    text: tuple(parse_poly(t) for t in text.split(","))
+    for text in ("n,2n", "n,3n", "n^2 - 3n,n", "n^3 - n,n^3 + 3n^2 + 2n", "n,2n,3n")
+}
+
+
+def _greedy_reference(w, polys, r, maxC, cap):
+    # one survivor_set per (step, candidate): the first candidate with the
+    # largest survivor count wins, a step needs at least r survivors; across
+    # colors the key is (|C|, survivors, -color)
+    cand = _candidates(w, polys).tolist()
+    pool = cand if cap is None or not cand else cand[:: math.ceil(len(cand) / cap)]
+    best = None
+    for color in range(1, w.palette + 1):
+        chosen, count, mask = [], 0, 0
+        while len(chosen) < maxC:
+            pick = None
+            for c in pool:
+                if c in chosen:
+                    continue
+                v = survivor_set(w, polys, chosen + [c], color)
+                if v.bit_count() >= r and (pick is None or v.bit_count() > count):
+                    pick, count, mask = c, v.bit_count(), v
+            if pick is None:
+                break
+            chosen.append(pick)
+        if chosen and (best is None or (len(chosen), count, -color) > best[0]):
+            best = ((len(chosen), count, -color), chosen, mask, color)
+    if best is None:
+        raise NoConfiguration("reference: no first pick in any color")
+    (_, count, _), chosen, mask, color = best
+    B = tuple(sorted(_mask_to_set(mask)))[:r]
+    return Configuration(
+        B=B, C=tuple(sorted(chosen)), polys=polys, color=color,
+        survivors=count, strategy="greedy",
+    )
+
+
+def _oracle_colorings():
+    random_kind = st.builds(
+        lambda seed, k: custom_coloring("random", seed=seed, k=k),
+        st.integers(0, 10**6), st.integers(2, 3),
+    )
+    periodic = st.builds(
+        lambda pat: custom_coloring("periodic", pattern=pat),
+        st.text(alphabet="123", min_size=1, max_size=12),
+    )
+    explicit = st.integers(2, 3).flatmap(
+        lambda k: st.builds(
+            lambda vals: custom_coloring("explicit", values=vals, palette=k),
+            st.lists(st.integers(1, k), min_size=1, max_size=300),
+        )
+    )
+    return st.one_of(random_kind, periodic, explicit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coloring=_oracle_colorings(),
+    n=st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129, 1000, 2000]), st.integers(1, 2000)),
+    poly_text=st.sampled_from(sorted(ORACLE_POLYS)),
+    r=st.integers(1, 4),
+    maxC=st.integers(1, 6),
+    cap=st.sampled_from([None, 7, 2048]),
+)
+# a phase A step whose best count is exactly r
+@example(
+    coloring=custom_coloring("periodic", pattern="3223"), n=65,
+    poly_text="n^3 - n,n^3 + 3n^2 + 2n", r=3, maxC=1, cap=7,
+)
+def test_greedy_matches_reference(coloring, n, poly_text, r, maxC, cap):
+    w = window(coloring, n)
+    polys = ORACLE_POLYS[poly_text]
+    try:
+        want = _greedy_reference(w, polys, r, maxC, cap)
+    except NoConfiguration:
+        with pytest.raises(NoConfiguration):
+            greedy_search(w, polys, r, maxC, candidate_cap=cap)
+        return
+    assert greedy_search(w, polys, r, maxC, candidate_cap=cap) == want
+
+
+@pytest.mark.parametrize("poly_text", sorted(ORACLE_POLYS))
+def test_candidates_match_brute_force(poly_text):
+    # every c with all P(c) <= N lies below N + sum |coeffs| of any P
+    polys = ORACLE_POLYS[poly_text]
+    const = custom_coloring("periodic", pattern="1")
+    slack = max(sum(abs(c) for c in P.coeffs) for P in polys)
+    for n in range(1, 201):
+        want = [c for c in range(1, n + slack + 1) if all(P(c) <= n for P in polys)]
+        assert _candidates(window(const, n), polys).tolist() == want
+    n = 10**6
+    cs = np.arange(1, n + slack + 1, dtype=np.int64)
+    keep = np.logical_and.reduce([P(cs) <= n for P in polys])
+    got = _candidates(window(const, n), polys)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, cs[keep])
 
 
 def test_exhaustive_search_fixed():
