@@ -55,6 +55,7 @@ from .poly import (
 
 DEFAULT_WINDOW_CAP = 10_000_000
 WINDOW_CAP_ENV = "SUMSET_RAMSEY_NMAX"
+_I64_MAX = int(np.iinfo(np.int64).max)
 
 
 def window_cap() -> int:
@@ -113,15 +114,6 @@ class ColorWindow:
 
     def counts(self) -> list[int]:
         return [int(np.count_nonzero(self.colors[1:] == i + 1)) for i in range(self.palette)]
-
-
-def bits_to_indices(mask: int) -> np.ndarray:
-    """Positions of set bits, ascending, as int64."""
-    if mask == 0:
-        return np.zeros(0, dtype=np.int64)
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return np.nonzero(bits)[0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -197,43 +189,85 @@ class BreakpointColoring(Coloring):
     def __init__(self, palette: int, below: int, gen: Iterator[tuple[int, int]], descriptor: str):
         self.palette = palette
         self.descriptor = descriptor
-        self._below = below
         self._gen = gen
         self._bps: list[int] = []
-        self._cols: list[int] = []
+        # _table[i] is the color on [bp_{i-1}, bp_i), _table[0] = below; _bp64
+        # holds the first _n64 breakpoints, those that fit in int64.  Both grow
+        # with _extend, their capacity by doubling.
+        self._table = np.full(64, below, dtype=np.uint8)
+        self._bp64 = np.zeros(64, dtype=np.int64)
+        self._n64 = 0
 
     def _extend(self, z: int) -> None:
-        while not self._bps or self._bps[-1] <= z:
+        last = self._bps[-1] if self._bps else None
+        if last is not None and last > z:
+            return
+        bps: list[int] = []
+        cols: list[int] = []
+        while last is None or last <= z:
             bp, col = next(self._gen)
-            if self._bps and bp < self._bps[-1]:  # pragma: no cover
+            bp = int(bp)
+            if last is not None and bp < last:  # pragma: no cover
                 raise DomainError("breakpoint generator went backwards")
-            if self._bps and bp == self._bps[-1]:
-                self._cols[-1] = col
+            if bp != last:
+                bps.append(bp)
+                cols.append(col)
+                last = bp
+            elif cols:
+                cols[-1] = col
             else:
-                self._bps.append(int(bp))
-                self._cols.append(int(col))
+                self._table[len(self._bps)] = col
+        k0 = len(self._bps)
+        self._bps.extend(bps)
+        k = len(self._bps)
+        if k >= self._table.shape[0]:
+            table = np.zeros(2 * k, dtype=np.uint8)
+            table[: k0 + 1] = self._table[: k0 + 1]
+            bp64 = np.zeros(2 * k, dtype=np.int64)
+            bp64[: self._n64] = self._bp64[: self._n64]
+            self._table, self._bp64 = table, bp64
+        self._table[k0 + 1 : k + 1] = cols
+        fit = bisect_right(bps, _I64_MAX)
+        self._bp64[self._n64 : self._n64 + fit] = bps[:fit]
+        self._n64 += fit
 
     def color(self, n: int) -> int:
         if n < 1:
             raise DomainError(f"positions start at 1, got {n}")
         self._extend(n)
-        idx = bisect_right(self._bps, n)
-        return self._below if idx == 0 else self._cols[idx - 1]
+        return int(self._table[bisect_right(self._bps, n)])
 
     def colors_at(self, zs) -> np.ndarray:
         zs = np.asarray(zs, dtype=np.int64)
         if zs.size == 0:
             return np.zeros(0, dtype=np.uint8)
-        zmax = int(zs.max())
-        zmin = int(zs.min())
-        if zmin < 1:
+        if int(zs.min()) < 1:
             raise DomainError("positions start at 1")
-        self._extend(zmax)
-        if self._bps[-1] <= np.iinfo(np.int64).max:
-            bps = np.array(self._bps, dtype=np.int64)
-            table = np.array([self._below] + self._cols, dtype=np.uint8)
-            return table[np.searchsorted(bps, zs, side="right")]
-        return super().colors_at(zs)  # pragma: no cover
+        self._extend(int(zs.max()))
+        # every int64 z lies below the breakpoints past the int64 prefix
+        return self._table[np.searchsorted(self._bp64[: self._n64], zs, side="right")]
+
+    def segments(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Color runs of the values lo..hi as (starts, colors), starts[0] == lo.
+
+        Run i covers [starts[i], starts[i+1]) inside [lo, hi] and has color
+        colors[i]; values below 1 have no color and get 0.  The starts are
+        int64 when lo and hi fit in int64 and Python ints otherwise.
+        """
+        if lo > hi:
+            raise DomainError(f"empty value range [{lo}, {hi}]")
+        starts = [lo] if lo < 1 else []
+        colors = np.zeros(len(starts), dtype=np.uint8)
+        i = j = 0
+        if hi >= 1:
+            a = max(lo, 1)
+            self._extend(hi)
+            i, j = bisect_right(self._bps, a), bisect_right(self._bps, hi)
+            starts.append(a)
+            colors = np.concatenate((colors, self._table[i : j + 1]))
+        if -_I64_MAX <= lo and hi <= _I64_MAX:
+            return np.concatenate((np.array(starts, dtype=np.int64), self._bp64[i:j])), colors
+        return np.array(starts + self._bps[i:j], dtype=object), colors
 
 
 def _interval_gen(points: Callable[[int], Iterable[tuple[Fraction, int]]]) -> Iterator[tuple[int, int]]:

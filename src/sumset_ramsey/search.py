@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 import mpmath
 import numpy as np
 
-from .coloring import ColorWindow, Coloring, bits_to_indices
+from .coloring import BreakpointColoring, ColorWindow, Coloring
 from .errors import DomainError, EmptySet, NoConfiguration
-from .poly import IntPolynomial, format_poly
+from .poly import IntPolynomial, _root_bound, _shift, _sub, format_poly
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,16 @@ def survivor_set(w: ColorWindow, polys: Sequence[IntPolynomial], C: Iterable[int
             if not v:
                 return 0
     return v & _full_mask(w.n)
+
+
+def _lowest_bits(v: int, r: int) -> tuple[int, ...]:
+    """Positions of the r lowest set bits of v, ascending (fewer if v has fewer)."""
+    out = []
+    while v and len(out) < r:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return tuple(out)
 
 
 def _poly_values(P: IntPolynomial, cs: np.ndarray) -> np.ndarray:
@@ -329,9 +339,8 @@ def greedy_search(
     if best is None:
         raise NoConfiguration(f"no single candidate keeps {r} survivors in any color")
     _, vcount, color, chosen, v = best
-    B = bits_to_indices(v)[:r]
     return Configuration(
-        B=tuple(int(b) for b in B),
+        B=_lowest_bits(v, r),
         C=tuple(sorted(chosen)),
         polys=polys,
         color=color,
@@ -364,9 +373,8 @@ def exhaustive_search(
     if best is None:
         return None
     n, color, C, v = best
-    B = bits_to_indices(v)[:r]
     return Configuration(
-        B=tuple(int(b) for b in B),
+        B=_lowest_bits(v, r),
         C=C,
         polys=polys,
         color=color,
@@ -375,21 +383,111 @@ def exhaustive_search(
     )
 
 
-def _poly_plus_n_int64(P: IntPolynomial, n: int, ms: np.ndarray) -> np.ndarray | None:
-    # Horner in int64, only when |n + P(m)| provably fits; None means overflow risk.
-    # |acc_j| <= sum |c_k| hi^(k-j) <= sum |c_k| hi^k for hi >= 1, so the final
-    # bound also covers every intermediate step.
-    hi = int(ms[-1])
-    bound = abs(n) + sum(abs(c) * hi**k for k, c in enumerate(P.coeffs))
-    if bound >= (1 << 62):
-        return None
-    acc = np.full(ms.shape[0], P.coeffs[-1], dtype=np.int64)
+def _fits_int64(P: IntPolynomial, n: int, top: int) -> bool:
+    # |acc_j| <= sum |c_k| top^(k-j) <= sum |c_k| top^k for top >= 1, so the
+    # bound on n + P(m), 1 <= m <= top, also covers every Horner step.
+    return abs(n) + sum(abs(c) * top**k for k, c in enumerate(P.coeffs)) < (1 << 62)
+
+
+def _plus_n(P: IntPolynomial, n: int, ms: np.ndarray) -> np.ndarray:
+    """n + P(ms) by Horner in the dtype of ms (int64 or object)."""
+    acc = np.full(ms.shape[0], P.coeffs[-1], dtype=ms.dtype)
     for c in reversed(P.coeffs[:-1]):
         acc *= ms
         if c:
             acc += c
     acc += n
     return acc
+
+
+def _hits(coloring: Coloring, n: int, P: IntPolynomial, ms: np.ndarray, color: int) -> np.ndarray:
+    """For ascending ms >= 1: n + P(m) >= 1 and colored `color`, exactly."""
+    if _fits_int64(P, n, int(ms[-1])):
+        vals = _plus_n(P, n, ms)
+        good = vals >= 1
+        if bool(good.all()):
+            return coloring.colors_at(vals) == color
+        return good & (coloring.colors_at(np.where(good, vals, 1)) == color)
+    vals = _plus_n(P, n, ms.astype(object))
+    return np.array([v >= 1 and coloring.color(v) == color for v in vals.tolist()], dtype=bool)
+
+
+def _increasing_from(P: IntPolynomial, M: int) -> int:
+    """Least m0 >= 1 with P strictly increasing on the integers of [m0, M]."""
+    # P(m + 1) - P(m) > 0 beyond its root bound, so only steps below it can fall
+    top = min(_root_bound(_sub(_shift(P.coeffs, 1), P.coeffs)) + 1, M)
+    ms = np.arange(1, top + 1, dtype=np.int64)
+    vals = _plus_n(P, 0, ms if _fits_int64(P, 0, top) else ms.astype(object))
+    down = np.flatnonzero(vals[1:] <= vals[:-1])
+    return int(down[-1]) + 2 if down.size else 1
+
+
+# numpy call overhead of one bisection step, in m of a dense pass.  Measured
+# on triple and geo3 (2 vCPUs): the dense pass wins below M of about 3*10^4
+# (2.5x at 10^4) and the bisection above it.
+_STEP_OVERHEAD = 2048
+
+
+def _first_at_least(P: IntPolynomial, n: int, ts: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Least m in (lo, hi] with n + P(m) >= t, for each cut t in ts.
+
+    P is strictly increasing on [lo, hi] and n + P(lo) < t <= n + P(hi).  A
+    bisection over all cuts at once takes ceil(log2(hi - lo)) steps of
+    len(ts) evaluations each, plus numpy's per-call overhead; one pass over
+    the range costs hi - lo + 1 evaluations.  The cheaper one runs.
+    """
+    dtype = np.int64 if _fits_int64(P, n, hi) else object
+    ts = ts.astype(dtype)
+    steps = (hi - lo).bit_length()
+    if steps * (ts.shape[0] + _STEP_OVERHEAD) < hi - lo + 1:
+        a = np.full(ts.shape[0], lo, dtype=np.int64)
+        b = np.full(ts.shape[0], hi, dtype=np.int64)
+        for _ in range(steps):
+            mid = (a + b) // 2
+            up = _plus_n(P, n, mid.astype(dtype)) >= ts
+            b = np.where(up, mid, b)
+            a = np.where(up, a, mid)
+        return b
+    vals = _plus_n(P, n, np.arange(lo, hi + 1, dtype=np.int64).astype(dtype))
+    return lo + np.searchsorted(vals, ts, side="left")
+
+
+def _good_runs(
+    coloring: BreakpointColoring, n: int, P: IntPolynomial, color: int, M: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Runs of m in [1, M] on which n + P(m) is, or is not, colored `color`.
+
+    Returns (starts, good) with starts[0] == 1.  Each m below the point m0
+    from which P increases up to M is a run of its own.  From m0 on, a run
+    starts where n + P(m) first reaches a cut of the coloring (a breakpoint,
+    or the value 1 below which positions have no color).
+    """
+    m0 = _increasing_from(P, M)
+    cuts, cols = coloring.segments(n + P(m0), n + P(M))
+    ms = np.concatenate(([m0], _first_at_least(P, n, cuts[1:], m0, M)))
+    # cuts that land on one m: the color of the last one holds there
+    last = np.append(ms[1:] != ms[:-1], True)
+    good = (cols[last] == color) & (cols[last] != 0)
+    if m0 == 1:
+        return ms[last], good
+    head = np.arange(1, m0, dtype=np.int64)
+    return np.concatenate((head, ms[last])), np.concatenate((_hits(coloring, n, P, head, color), good))
+
+
+def _bad_set_by_runs(
+    coloring: BreakpointColoring, n: int, polys: Sequence[IntPolynomial], color: int, M: int
+) -> np.ndarray:
+    """bad_set's elements from the color runs of every P, without a per-m pass."""
+    runs = [_good_runs(coloring, n, P, color, M) for P in polys]
+    # sort and drop repeats; np.unique would import numpy.ma, 30 ms per process
+    starts = np.sort(np.concatenate([np.ones(1, dtype=np.int64)] + [s for s, _ in runs]))
+    starts = starts[np.append(True, starts[1:] != starts[:-1])]
+    keep = np.ones(starts.shape[0], dtype=bool)
+    for s, good in runs:
+        keep &= good[np.searchsorted(s, starts, side="right") - 1]
+    lens = np.diff(np.append(starts, M + 1))[keep]
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts[keep] - offsets, lens) + np.arange(int(lens.sum()), dtype=np.int64)
 
 
 def bad_set(
@@ -399,32 +497,28 @@ def bad_set(
     color: int,
     M: int,
 ) -> tuple[np.ndarray, AuditReport]:
-    """All m <= M with every n + P(m) colored `color`, plus its report."""
+    """All m <= M with every n + P(m) colored `color`, plus its report.
+
+    On a breakpoint coloring the cost follows the breakpoints that n + P(m)
+    crosses, not M; other colorings are evaluated at every m, in chunks.
+    """
     if M < 1:
         raise DomainError(f"horizon must be positive, got {M}")
     polys = tuple(polys)
-    keep_chunks: list[np.ndarray] = []
-    chunk = 1 << 20
-    for lo in range(1, M + 1, chunk):
-        ms = np.arange(lo, min(M, lo + chunk - 1) + 1, dtype=np.int64)
-        ok = np.ones(ms.shape[0], dtype=bool)
-        for P in polys:
-            fast = _poly_plus_n_int64(P, n, ms)
-            if fast is not None:
-                good = fast >= 1
-                if bool(good.all()):
-                    ok &= coloring.colors_at(fast) == color
-                else:
-                    ok &= good & (coloring.colors_at(np.where(good, fast, 1)) == color)
-            else:
-                vals = n + P(ms.astype(object))
-                ok &= np.array(
-                    [v >= 1 and coloring.color(int(v)) == color for v in vals.tolist()]
-                )
-            if not ok.any():
-                break
-        keep_chunks.append(ms[ok])
-    elems = np.concatenate(keep_chunks) if keep_chunks else np.zeros(0, dtype=np.int64)
+    if isinstance(coloring, BreakpointColoring):
+        elems = _bad_set_by_runs(coloring, n, polys, color, M)
+    else:
+        keep_chunks: list[np.ndarray] = []
+        chunk = 1 << 20
+        for lo in range(1, M + 1, chunk):
+            ms = np.arange(lo, min(M, lo + chunk - 1) + 1, dtype=np.int64)
+            ok = np.ones(ms.shape[0], dtype=bool)
+            for P in polys:
+                ok &= _hits(coloring, n, P, ms, color)
+                if not ok.any():
+                    break
+            keep_chunks.append(ms[ok])
+        elems = np.concatenate(keep_chunks)
     count = int(elems.shape[0])
     max_el = int(elems[-1]) if count else None
     stabilized = count == 0 or 2 * max_el <= M

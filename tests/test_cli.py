@@ -418,6 +418,7 @@ def test_usage_errors_exit_2():
     assert code == 2
     assert out == ""
     _usage_error(err, "--r", "'x'")
+    assert "_positive_int" not in json.loads(err)["message"]
 
     code, _, err = _run("nosuchcommand")
     assert code == 2

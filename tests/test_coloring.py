@@ -28,6 +28,7 @@ from sumset_ramsey import (
     window,
     write_runlength,
 )
+from sumset_ramsey.coloring import Coloring
 from sumset_ramsey.errors import (
     BadPair,
     BadParams,
@@ -411,6 +412,24 @@ def test_colors_at_matches_scalar():
         vec = c.colors_at(ns)
         for n, v in zip(ns.tolist(), vec.tolist()):
             assert c.color(n) == v
+
+
+def test_breakpoint_colors_at_past_int64(monkeypatch):
+    # breakpoints past 2^63 must not push colors_at off the vectorized path:
+    # every int64 position lies below them
+    def scalar_loop(self, zs):
+        raise AssertionError("base-class scalar colors_at reached")
+
+    monkeypatch.setattr(Coloring, "colors_at", scalar_loop)
+    zs = np.array([1, 2, 3, 7, 10**6, 2**40 + 1, 2**62, 2**63 - 1], dtype=np.int64)
+    for make in (lambda: power_2coloring(1, 2), lambda: geometric_3coloring(1, 2),
+                 lambda: triple_2coloring(1, 2, 3)):
+        c, fresh = make(), make()
+        want = fresh.window(10**5).colors
+        c.color(2**70)
+        assert np.array_equal(c.window(10**5).colors, want)
+        assert c.colors_at(zs).tolist() == fresh.colors_at(zs).tolist()
+        assert c.colors_at(zs).tolist() == [make().color(int(z)) for z in zs]
 
 
 @pytest.fixture(scope="module")

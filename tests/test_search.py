@@ -21,6 +21,7 @@ from sumset_ramsey import (
     gowers_threshold,
     greedy_search,
     longest_ap,
+    parse_coloring_spec,
     parse_poly,
     power_2coloring,
     survivor_set,
@@ -29,6 +30,7 @@ from sumset_ramsey import (
     window,
 )
 from sumset_ramsey.errors import EmptySet
+from sumset_ramsey import search as search_module
 from sumset_ramsey.search import _candidates
 
 LIN = (parse_poly("n"), parse_poly("2 n"))
@@ -388,6 +390,87 @@ def test_bad_sets_partition_agreements():
         assert not (set(s1.tolist()) & set(s2.tolist()))
         want = {m for m in range(1, M + 1) if c.color(n + m) == c.color(n + 2 * m)}
         assert union == want
+
+
+BREAKPOINT_POLYS = ("n", "2n", "3n", "n^2 - 3n", "n^3 - n", "n^3 - 5n^2")
+# values past 2^62 at M = 2000: the object path (not drawn with case2, whose
+# breakpoints are polynomially spaced)
+BIG_POLYS = ("1000000n^4", "n^7 - 3n^6")
+CASE2_SPECS = (
+    "case2:P=n^2,Q=n^2 + n",                 # part I
+    "case2:P=n^2,Q=n^2 + 2n",                # part II
+    "case2:P=n^3 - n,Q=n^3 + 3n^2 + 2n",     # part III
+)
+
+
+def _increasing(k):
+    return st.lists(st.integers(1, 8), min_size=k, max_size=k, unique=True).map(sorted)
+
+
+_BREAKPOINT_SPECS = st.one_of(
+    _increasing(3).map(lambda t: "triple:{},{},{}".format(*t)),
+    _increasing(2).map(lambda t: "geo3:{},{}".format(*t)),
+    _increasing(2).map(lambda t: "power2:{},{}".format(*t)),
+    st.sampled_from(CASE2_SPECS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=_BREAKPOINT_SPECS,
+    texts=st.lists(st.sampled_from(BREAKPOINT_POLYS + BIG_POLYS), min_size=1, max_size=3, unique=True),
+    n=st.integers(-60, 40),
+    M=st.integers(1, 2000),
+    color_draw=st.integers(0, 5),
+)
+# non-monotone heads below zero, and values past 2^63 on the object path
+@example(spec="triple:1,2,3", texts=["n^3 - 5n^2", "n^2 - 3n"], n=-60, M=2000, color_draw=0)
+@example(spec="geo3:1,2", texts=["n^7 - 3n^6", "n"], n=-1, M=2000, color_draw=1)
+@example(spec=CASE2_SPECS[0], texts=["n^2 - 3n", "n^3 - n"], n=-60, M=2000, color_draw=1)
+# P falls for m < 500, and n + P(m) < 1 up to m = 1000
+@example(spec="power2:1,2", texts=["n^2 - 1000n", "n"], n=1, M=2000, color_draw=0)
+# n + P(m) falls from 111 to 30 through the breakpoints 98 and 40, then rises
+@example(spec="triple:1,2,3", texts=["n^2 - 20n"], n=130, M=2000, color_draw=1)
+def test_bad_set_matches_scalar_oracle(spec, texts, n, M, color_draw):
+    if spec.startswith("case2"):
+        texts = [t for t in texts if t not in BIG_POLYS] or ["n"]
+    polys = tuple(parse_poly(t) for t in texts)
+    c, fresh = parse_coloring_spec(spec), parse_coloring_spec(spec)
+    color = 1 + color_draw % c.palette
+    want = [m for m in range(1, M + 1)
+            if all(n + P(m) >= 1 and fresh.color(n + P(m)) == color for P in polys)]
+    S, rep = bad_set(c, n, polys, color, M)
+    assert S.tolist() == want
+    assert (rep.count, rep.max_element) == (len(want), want[-1] if want else None)
+    if not spec.startswith("case2"):
+        # the audit pattern: a query past 2^63 extends the breakpoints beyond
+        # int64, and the same object is asked again
+        bad_set(c, n, (parse_poly("n^7 - 3n^6"),), color, 2000)
+        S, _ = bad_set(c, n, polys, color, M)
+        assert S.tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=_BREAKPOINT_SPECS,
+    texts=st.lists(st.sampled_from(BREAKPOINT_POLYS + BIG_POLYS), min_size=1, max_size=3, unique=True),
+    n=st.integers(-60, 40),
+    M=st.integers(1, 5000),
+    color_draw=st.integers(0, 5),
+)
+def test_bad_set_bisection_matches_dense_pass(spec, texts, n, M, color_draw):
+    # the cost rule picks the dense pass at small M: force each way of
+    # inverting n + P(m) at the cuts in turn
+    if spec.startswith("case2"):
+        texts = [t for t in texts if t not in BIG_POLYS] or ["n"]
+    polys = tuple(parse_poly(t) for t in texts)
+    got = []
+    for overhead in (0, 10**12):
+        c = parse_coloring_spec(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "_STEP_OVERHEAD", overhead)
+            got.append(bad_set(c, n, polys, 1 + color_draw % c.palette, M)[0].tolist())
+    assert got[0] == got[1]
 
 
 def test_bad_set_growth_matches_bad_set():
