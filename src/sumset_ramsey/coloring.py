@@ -761,7 +761,7 @@ class RecursiveLogColoring(Coloring):
     # -- window materialization ---------------------------------------------
 
     def _j_max(self, bound: int) -> int:
-        """Largest j with Q(j) <= bound (0 when even Q(0) exceeds it)."""
+        """Largest j >= jq with Q(j) <= bound, or jq when Q(jq) exceeds it."""
         jq = self._jq
         if self.Q(jq) > bound:
             return jq
@@ -822,16 +822,7 @@ class RecursiveLogColoring(Coloring):
             rem = z - self.Q(j)
             if 0 <= rem <= width and self.in_level_set(rem + self.P(j), level - 1):
                 return True
-        lo, hi = jq, max(jq + 1, 2)
-        while self.Q(hi) <= z:
-            hi *= 2
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.Q(mid) <= z:
-                lo = mid
-            else:
-                hi = mid - 1
-        j = lo
+        j = self._j_max(z)
         while j > jq:
             rem = z - self.Q(j)
             if rem > width:

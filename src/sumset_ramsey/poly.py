@@ -88,9 +88,10 @@ def _root_bound(coeffs: Sequence[int]) -> int:
 def _positive_from(coeffs: Sequence[int], allow_zero: bool) -> int | None:
     """Smallest integer v >= 1 with coeffs(n) > 0 (or >= 0) for every int n >= v.
 
-    Exact for integer arguments: integers up to the Cauchy root bound are
-    checked directly; beyond it the sign equals the sign of the leading
-    coefficient.  Returns None when no such v exists.
+    Exact for integer arguments: beyond the Cauchy root bound the sign equals
+    the sign of the leading coefficient, and below it integers are checked
+    downward until the first one that fails.  Returns None when no such v
+    exists.
     """
     cs = _trim(list(coeffs))
     if not cs:
@@ -100,13 +101,11 @@ def _positive_from(coeffs: Sequence[int], allow_zero: bool) -> int | None:
         return 1 if ok else None
     if cs[-1] < 0:
         return None
-    bound = _root_bound(cs)
-    v = 1
-    for n in range(1, bound + 1):
+    for n in range(_root_bound(cs), 0, -1):
         val = _eval_coeffs(cs, n)
         if val < 0 or (val == 0 and not allow_zero):
-            v = n + 1
-    return v
+            return n + 1
+    return 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 The engine looks for pairs of sets (B, C) with every value h + P(k), h in B,
 k in C, P in the polynomial list, landing in one fixed color class.  The core
-object is the survivor bit-vector: positions b that still satisfy all
-constraints imposed by the current C.  Greedy growth of C alternates between
-shifted-AND steps that score a block of candidates per numpy call, reading
-shifted masks from a table of eight bit-offset copies (fast while survivors
-are plentiful), and a packed survivor-by-candidate bit matrix once few
-survivors remain, which makes late greedy steps nearly free.
+object is the survivor bit-vector, packed in uint64 words: positions b that
+still satisfy all constraints imposed by the current C.  One scorer serves
+both searches, scoring a block of candidates per numpy call from a table of
+eight bit-offset copies of the color mask.  Greedy growth of C switches to a
+packed survivor-by-candidate bit matrix once few survivors remain, which makes
+late steps nearly free; the exhaustive search scores all extensions of each
+prefix of C at once.
 
 Also here: bad-set enumeration with stabilization reports, a longest-AP
 dynamic program, and the log-space Gowers density threshold.
@@ -120,16 +121,6 @@ def survivor_set(w: ColorWindow, polys: Sequence[IntPolynomial], C: Iterable[int
     return v & _full_mask(w.n)
 
 
-def _lowest_bits(v: int, r: int) -> tuple[int, ...]:
-    """Positions of the r lowest set bits of v, ascending (fewer if v has fewer)."""
-    out = []
-    while v and len(out) < r:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
-    return tuple(out)
-
-
 def _poly_values(P: IntPolynomial, cs: np.ndarray) -> np.ndarray:
     """P over an int64 array, exact: falls back to objects near overflow."""
     if cs.size == 0:
@@ -175,107 +166,102 @@ def _candidates(w: ColorWindow, polys: Sequence[IntPolynomial]) -> np.ndarray:
 
 _GATHER_THRESHOLD = 64
 
-# bytes of shifted masks gathered per numpy call in phase A, per polynomial;
-# small enough for a block to stay in cache
+# bytes of shifted masks gathered per numpy call, per polynomial; small enough
+# for a block to stay in cache
 _BLOCK_BYTES = 1 << 18
 
 
-def _mask_words(mask: int, nwords: int) -> np.ndarray:
-    return np.frombuffer(mask.to_bytes(nwords * 8, "little"), dtype=np.uint64).copy()
+def _pool_shifts(w: ColorWindow, polys: Sequence[IntPolynomial], pool: np.ndarray) -> list[np.ndarray]:
+    """P(c) for every pool candidate c, one int64 array per polynomial."""
+    # shifts beyond the window clip to n+1: the shifted mask comes out empty
+    # either way, and clipped values index the dead padding in phase B
+    return [np.clip(_poly_values(P, pool), -(w.n + 1), w.n + 1).astype(np.int64) for P in polys]
 
 
-def _words_to_int(words: np.ndarray) -> int:
-    return int.from_bytes(words.tobytes(), "little")
+def _lowest_set(words: np.ndarray, r: int) -> tuple[int, ...]:
+    """Positions of the r lowest set bits of packed words, ascending."""
+    nz = np.flatnonzero(words)[:r]
+    word, bit = np.nonzero(np.unpackbits(words[nz].view(np.uint8), bitorder="little").reshape(-1, 64))
+    return tuple((64 * nz[word] + bit)[:r].tolist())
 
 
-def _shift_table(w: ColorWindow, color: int, front: int, nbytes: int) -> np.ndarray:
-    """8 bit-offset copies of the color mask, each a row of `nbytes` bytes.
+class _Scorer:
+    """Survivor words of one color after adding pool candidates (bit b: position b).
 
-    The mask sits after `front` zero bytes; bit i of row t is bit i + t of the
-    padded mask, so the mask shifted right by k bits starts in row k & 7 at
-    byte front + (k >> 3).
+    Row t of the shift table is the color mask after `front` zero bytes,
+    shifted right by t bits, so the mask shifted right by k bits is the window
+    of 8 * nwords bytes from byte front + (k >> 3) of row k & 7.  A candidate
+    costs one AND per polynomial.
     """
-    bits = np.packbits(w.colors == color, bitorder="little")
-    base = np.zeros(nbytes + 1, dtype=np.uint8)
-    base[front : front + bits.shape[0]] = bits
-    table = np.empty((8, nbytes), dtype=np.uint8)
-    table[0] = base[:-1]
-    for t in range(1, 8):
-        np.right_shift(base[:-1], t, out=table[t])
-        table[t] |= base[1:] << (8 - t)
-    return table
+
+    def __init__(self, w: ColorWindow, color: int, pvals: list[np.ndarray]):
+        nwords = (w.n + 64) // 64
+        lo = min(0, min(int(pv.min()) for pv in pvals))
+        hi = max(0, max(int(pv.max()) for pv in pvals))
+        front = -(lo // 8)
+        nbytes = front + (hi >> 3) + 8 * nwords
+        # entry i holds padded mask bytes i and i + 1, so row t is entry i >> t
+        base = np.zeros(nbytes + 1, dtype=np.uint16)
+        base[front : front + (w.n >> 3) + 1] = np.packbits(w.colors == color, bitorder="little")
+        base[:-1] |= base[1:] << 8
+        table = np.empty((8, nbytes), dtype=np.uint8)
+        np.right_shift(base[:-1], np.arange(8, dtype=np.uint16)[:, None], out=table, casting="unsafe")
+        # a sliding window view: window k of row t is the 8 * nwords bytes from byte k
+        self._windows = np.ndarray(
+            (8, nbytes - 8 * nwords + 1, 8 * nwords), np.uint8, table, strides=(nbytes, 1, 1)
+        )
+        self._shifts = [(pv & 7, front + (pv >> 3)) for pv in pvals]
+        self._block = max(1, _BLOCK_BYTES // (8 * nwords))
+        # survivors of the empty C: every b in [1, N]
+        full = np.zeros(8 * nwords, dtype=np.uint8)
+        full[: (w.n >> 3) + 1] = np.packbits(w.colors > 0, bitorder="little")
+        self.full = full.view(np.uint64)
+
+    def survivors_with(self, vw: np.ndarray, rows: slice) -> np.ndarray:
+        """Survivor words vw after adding each pool candidate in `rows`, one row each."""
+        acc = vw
+        for row, off in self._shifts:
+            words = self._windows[row[rows], off[rows]].view(np.uint64)
+            acc = np.bitwise_and(words, acc, out=words)
+        return acc
+
+    def counts(self, vw: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Survivor counts after adding each pool candidate in [start, stop)."""
+        out = np.empty(stop - start, dtype=np.int64)
+        for b in range(start, stop, self._block):
+            rows = slice(b, min(b + self._block, stop))
+            out[b - start : rows.stop - start] = np.bitwise_count(self.survivors_with(vw, rows)).sum(axis=1)
+        return out
 
 
 def _greedy_one_color(
-    w: ColorWindow,
-    polys: Sequence[IntPolynomial],
-    r: int,
-    maxC: int,
-    color: int,
-    cand: np.ndarray,
-    cap: int | None,
-) -> tuple[list[int], int, int] | None:
-    """Greedy C growth for one color: (C, survivor mask popcount, mask)."""
-    nwords = (w.n + 64) // 64
-    vw = _mask_words(_full_mask(w.n), nwords)
+    w: ColorWindow, r: int, maxC: int, color: int, pool: np.ndarray, pvals: list[np.ndarray]
+) -> tuple[list[int], int, tuple[int, ...]] | None:
+    """Greedy C growth for one color: (C, survivor count, B)."""
+    scorer = _Scorer(w, color, pvals)
+    vw = scorer.full
     vcount = w.n
     picked: list[int] = []  # pool indices, in pick order
     cols: np.ndarray | None = None
     surv: np.ndarray | None = None
     vmask = 0
-    pool = cand
-    if cap is not None and pool.shape[0] > cap:
-        stride = -(-pool.shape[0] // cap)
-        pool = pool[::stride]
-    if pool.shape[0] == 0:
-        return None
-    # shifts beyond the window clip to n+1: the shifted mask comes out empty
-    # either way, and clipped values index the dead padding in phase B
-    pvals = [
-        np.clip(_poly_values(P, pool), -(w.n + 1), w.n + 1).astype(np.int64)
-        for P in polys
-    ]
-    # phase A reads the mask shifted by k as nwords words of the shift table
-    lo = min(0, min(int(pv.min()) for pv in pvals))
-    hi = max(0, max(int(pv.max()) for pv in pvals))
-    front = -(lo // 8)
-    table = _shift_table(w, color, front, front + (hi >> 3) + 8 * nwords)
-    windows = np.lib.stride_tricks.sliding_window_view(table, 8 * nwords, axis=1)
-    shifts = [(pv & 7, front + (pv >> 3)) for pv in pvals]
-    block = max(1, _BLOCK_BYTES // (8 * nwords))
-
-    def survivors_with(rows: slice) -> np.ndarray:
-        """Survivor words after adding each pool candidate in `rows`, one row each."""
-        acc = None
-        for row, off in shifts:
-            words = windows[row[rows], off[rows]].view(np.uint64)
-            if acc is None:
-                acc = words
-                acc &= vw
-            else:
-                acc &= words
-        return acc
 
     while len(picked) < maxC:
         if vcount > _GATHER_THRESHOLD:
             # phase A: survivor counts of a block of candidates per numpy call
-            counts = np.empty(pool.shape[0], dtype=np.int64)
-            for b in range(0, pool.shape[0], block):
-                rows = slice(b, b + block)
-                counts[rows] = np.bitwise_count(survivors_with(rows)).sum(axis=1)
+            counts = scorer.counts(vw, 0, pool.shape[0])
             counts[picked] = 0
             pick = int(counts.argmax())
             if counts[pick] < r:
                 break
             picked.append(pick)
-            vw = survivors_with(slice(pick, pick + 1))[0]
+            vw = scorer.survivors_with(vw, slice(pick, pick + 1))[0]
             vcount = int(counts[pick])
             continue
 
         # phase B: packed survivor-by-candidate matrix, scans every candidate
         if surv is None:
-            surv = np.nonzero(np.unpackbits(vw.view(np.uint8), bitorder="little"))[0]
-            surv = surv.astype(np.int64)
+            surv = np.flatnonzero(np.unpackbits(vw.view(np.uint8), bitorder="little"))
             vmask = (1 << surv.shape[0]) - 1
             okpad = np.zeros(2 * w.n + 2, dtype=bool)
             okpad[: w.n + 1] = w.colors == color
@@ -298,14 +284,11 @@ def _greedy_one_color(
 
     if not picked:
         return None
-    if surv is not None:
-        v = 0
-        for i in range(surv.shape[0]):
-            if vmask >> i & 1:
-                v |= 1 << int(surv[i])
+    if surv is None:
+        B = _lowest_set(vw, r)
     else:
-        v = _words_to_int(vw)
-    return pool[picked].tolist(), vcount, v
+        B = tuple(b for i, b in enumerate(surv.tolist()) if vmask >> i & 1)[:r]
+    return pool[picked].tolist(), vcount, B
 
 
 def greedy_search(
@@ -326,26 +309,21 @@ def greedy_search(
     if r < 1 or maxC < 1:
         raise DomainError("r and maxC must be positive")
     polys = tuple(polys)
-    cand = _candidates(w, polys)
-    best: tuple[int, int, int, list[int], int] | None = None
-    for color in range(1, w.palette + 1):
-        got = _greedy_one_color(w, polys, r, maxC, color, cand, candidate_cap)
-        if got is None:
-            continue
-        chosen, vcount, v = got
-        key = (len(chosen), vcount, -color)
-        if best is None or key > (best[0], best[1], -best[2]):
-            best = (len(chosen), vcount, color, chosen, v)
-    if best is None:
+    pool = _candidates(w, polys)
+    if candidate_cap is not None and pool.shape[0] > candidate_cap:
+        pool = pool[:: -(-pool.shape[0] // candidate_cap)]
+    found = []  # ((|C|, survivors, -color), color, (C, survivors, B)) per color
+    if pool.shape[0]:
+        pvals = _pool_shifts(w, polys, pool)
+        for color in range(1, w.palette + 1):
+            got = _greedy_one_color(w, r, maxC, color, pool, pvals)
+            if got is not None:
+                found.append(((len(got[0]), got[1], -color), color, got))
+    if not found:
         raise NoConfiguration(f"no single candidate keeps {r} survivors in any color")
-    _, vcount, color, chosen, v = best
+    _, color, (chosen, vcount, B) = max(found, key=lambda f: f[0])
     return Configuration(
-        B=_lowest_bits(v, r),
-        C=tuple(sorted(chosen)),
-        polys=polys,
-        color=color,
-        survivors=vcount,
-        strategy="greedy",
+        B=B, C=tuple(sorted(chosen)), polys=polys, color=color, survivors=vcount, strategy="greedy"
     )
 
 
@@ -354,32 +332,49 @@ def exhaustive_search(
 ) -> Configuration | None:
     """Optimal configuration over all C of the given size, or None.
 
-    Enumerates candidate subsets in lexicographic order per color; keeps the
-    survivor-count maximum (first witness wins ties, smaller color first).
+    Keeps the survivor-count maximum over candidate subsets in lexicographic
+    order per color (first witness wins ties, smaller color first).  Each
+    (sizeC - 1)-prefix of C scores all later candidates in blocks, so the cost
+    is about prefixes x blocks numpy calls.  A prefix with no more survivors
+    than the best so far is skipped: no extension can beat it, and ties never
+    replace the best.
     """
-    from itertools import combinations
-
     if r < 1 or sizeC < 1:
         raise DomainError("r and sizeC must be positive")
     polys = tuple(polys)
-    cand = [int(c) for c in _candidates(w, polys).tolist()]
-    best: tuple[int, int, tuple[int, ...], int] | None = None
+    cand = _candidates(w, polys)
+    if sizeC > cand.shape[0]:
+        return None
+    pvals = _pool_shifts(w, polys, cand)
+    best_count = r - 1
+    best: tuple[int, list[int], np.ndarray] | None = None
+
+    def extend(scorer: _Scorer, color: int, vw: np.ndarray, chosen: list[int]) -> None:
+        nonlocal best_count, best
+        start = chosen[-1] + 1 if chosen else 0
+        # leave room for the candidates still to come
+        counts = scorer.counts(vw, start, cand.shape[0] - (sizeC - len(chosen) - 1))
+        if len(chosen) == sizeC - 1:
+            pick = int(counts.argmax())
+            if counts[pick] > best_count:
+                best_count = int(counts[pick])
+                j = start + pick
+                best = (color, chosen + [j], scorer.survivors_with(vw, slice(j, j + 1))[0])
+            return
+        for i in np.flatnonzero(counts > best_count).tolist():
+            if counts[i] > best_count:  # the best may have grown under an earlier prefix
+                j = start + i
+                extend(scorer, color, scorer.survivors_with(vw, slice(j, j + 1))[0], chosen + [j])
+
     for color in range(1, w.palette + 1):
-        for C in combinations(cand, sizeC):
-            v = survivor_set(w, polys, C, color)
-            n = v.bit_count()
-            if n >= r and (best is None or n > best[0]):
-                best = (n, color, C, v)
+        scorer = _Scorer(w, color, pvals)
+        extend(scorer, color, scorer.full, [])
     if best is None:
         return None
-    n, color, C, v = best
+    color, chosen, vw = best
     return Configuration(
-        B=_lowest_bits(v, r),
-        C=C,
-        polys=polys,
-        color=color,
-        survivors=n,
-        strategy="exhaustive",
+        B=_lowest_set(vw, r), C=tuple(cand[chosen].tolist()), polys=polys, color=color,
+        survivors=best_count, strategy="exhaustive",
     )
 
 

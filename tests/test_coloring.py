@@ -263,6 +263,21 @@ def test_recursive_levels_match_reference():
     assert list(c.levels[1]) == [59, 60, 61, 62, 64, 65]
 
 
+@pytest.mark.parametrize("pt,qt,a0", [("n^2", "n^3", 15), ("2n^2", "3n^3 + n", 14)])
+def test_in_level_set_matches_materialized_levels(pt, qt, a0):
+    # the recursion against the window's levels, from each level's dip bound
+    cap = 2 * 10**4
+    c = recursive_log_coloring(parse_poly(pt), parse_poly(qt), a0=a0, window_n=cap)
+    checked = 0
+    for level in range(len(c.levels) + 2):
+        members = set(c.levels[level]) if level < len(c.levels) else set()
+        lo = c._clo[level] if level < len(c._clo) else cap + 1
+        for z in range(lo, cap + 1):
+            assert c.in_level_set(z, level) == (z in members), (z, level)
+        checked += max(0, cap + 1 - lo)
+    assert checked > cap
+
+
 def test_recursive_levels_separated():
     for a0, cap in ((15, 10**6), (10**4, 10**5)):
         c = recursive_log_coloring(N2, N3, a0=a0, window_n=cap)
@@ -480,22 +495,23 @@ def test_runs_reconstruct_colors():
         prev = color
 
 
-def test_runlength_round_trip():
-    c = geometric_3coloring(1, 2)
+@pytest.mark.parametrize("which", range(8))
+def test_runlength_round_trip(every_kind, which):
+    c = every_kind[which]
     n = 500
     buf = io.StringIO()
     write_runlength(c, n, buf)
     text = buf.getvalue()
     lines = text.splitlines()
-    assert lines[0] == "palette 3"
+    assert lines[0] == f"palette {c.palette}"
     assert lines[1] == "start 1"
     for ln in lines[2:]:
         color, length = ln.split()
-        assert 1 <= int(color) <= 3
+        assert 1 <= int(color) <= c.palette
         assert int(length) >= 1
     back = read_runlength(io.StringIO(text))
-    assert back.palette == 3
-    assert [back.color(z) for z in range(1, n + 1)] == [c.color(z) for z in range(1, n + 1)]
+    assert back.palette == c.palette
+    assert back.window(n).colors[1:].tolist() == window(c, n).colors[1:].tolist()
 
 
 def test_runlength_round_trip_random():

@@ -350,3 +350,32 @@ def test_open_interval_root_free_known_roots(a, roots, at_a, quadratics, lead):
 )
 def test_a_star_fixed_values(pt, qt, want):
     assert a_star(parse_poly(pt), parse_poly(qt)) == want
+
+
+def _positive_from_upward(cs, allow_zero):
+    # the upward scan: every integer up to the Cauchy bound, the last failure + 1
+    cs = poly._trim(list(cs))
+    if not cs:
+        return 1 if allow_zero else None
+    if len(cs) == 1:
+        return 1 if cs[0] > 0 or (allow_zero and cs[0] == 0) else None
+    if cs[-1] < 0:
+        return None
+    v = 1
+    for n in range(1, poly._root_bound(cs) + 1):
+        val = sum(c * n**k for k, c in enumerate(cs))
+        if val < 0 or (val == 0 and not allow_zero):
+            v = n + 1
+    return v
+
+
+@given(cs=st.lists(st.integers(-60, 60), max_size=6), allow_zero=st.booleans())
+def test_positive_from_matches_upward_scan(cs, allow_zero):
+    assert poly._positive_from(cs, allow_zero) == _positive_from_upward(cs, allow_zero)
+
+
+def test_positive_from_stops_near_the_top():
+    # P(n + 1) - P(n) for P = n^2 - 10^8 n: the upward scan visits 5 * 10^7 integers
+    assert poly._positive_from([1 - 10**8, 2], False) == 50_000_000
+    assert poly._positive_from([-(10**8), 2], True) == 50_000_000
+    assert poly._positive_from([-(10**8), 2], False) == 50_000_001

@@ -239,7 +239,9 @@ def test_greedy_matches_reference(coloring, n, poly_text, r, maxC, cap):
         with pytest.raises(NoConfiguration):
             greedy_search(w, polys, r, maxC, candidate_cap=cap)
         return
-    assert greedy_search(w, polys, r, maxC, candidate_cap=cap) == want
+    got = greedy_search(w, polys, r, maxC, candidate_cap=cap)
+    assert got == want
+    assert verify_config(coloring, got) == got.color
 
 
 @pytest.mark.parametrize("poly_text", sorted(ORACLE_POLYS))
@@ -286,6 +288,47 @@ def _oracle_best(c, n, polys, r, sizeC):
                 if best is None or key > best[0]:
                     best = (key, C, color, len(surv))
     return best
+
+
+def _exhaustive_reference(w, polys, r, sizeC):
+    # one survivor_set per C, colors in turn and C in lexicographic order; a
+    # strictly larger count with at least r survivors replaces the best
+    best = None
+    for color in range(1, w.palette + 1):
+        for C in combinations(_candidates(w, polys).tolist(), sizeC):
+            v = survivor_set(w, polys, C, color)
+            if v.bit_count() >= r and (best is None or v.bit_count() > best[0]):
+                best = (v.bit_count(), color, C, v)
+    if best is None:
+        return None
+    count, color, C, v = best
+    return Configuration(
+        B=tuple(sorted(_mask_to_set(v)))[:r], C=C, polys=polys, color=color,
+        survivors=count, strategy="exhaustive",
+    )
+
+
+# sizeC 3 only up to N = 120: the reference enumerates every C
+_EXHAUSTIVE_SHAPES = st.one_of(
+    st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(1, 400)
+).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 3 if n <= 120 else 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coloring=_oracle_colorings(),
+    shape=_EXHAUSTIVE_SHAPES,
+    poly_text=st.sampled_from(sorted(ORACLE_POLYS)),
+    r=st.integers(1, 4),
+)
+# ties everywhere: the first C in lexicographic order and the smaller color win
+@example(coloring=custom_coloring("periodic", pattern="12"), shape=(64, 2), poly_text="n,2n", r=1)
+@example(coloring=custom_coloring("periodic", pattern="1"), shape=(120, 3), poly_text="n,3n", r=4)
+def test_exhaustive_matches_reference(coloring, shape, poly_text, r):
+    n, sizeC = shape
+    w = window(coloring, n)
+    polys = ORACLE_POLYS[poly_text]
+    assert exhaustive_search(w, polys, r, sizeC) == _exhaustive_reference(w, polys, r, sizeC)
 
 
 def test_exhaustive_matches_oracle():
