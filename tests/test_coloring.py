@@ -3,12 +3,13 @@
 import io
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumset_ramsey import (
@@ -29,6 +30,7 @@ from sumset_ramsey import (
     write_runlength,
 )
 from sumset_ramsey.coloring import Coloring
+from sumset_ramsey.poly import _positive_from, _shift, _sub
 from sumset_ramsey.errors import (
     BadPair,
     BadParams,
@@ -309,6 +311,118 @@ def test_recursive_color_rule_matches_reference():
                 m += 1
             expect = 2 if m % 2 == 0 else 1
         assert c.color(z) == expect, z
+
+
+def _oracle_j_max(Q, jq, bound):
+    # largest j >= jq with Q(j) <= bound, or jq when Q(jq) exceeds it
+    if Q(jq) > bound:
+        return jq
+    hi = max(jq, 1)
+    while Q(hi) <= bound:
+        hi *= 2
+    lo = jq
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if Q(mid) <= bound:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _oracle_in_level(c, jq, z, level):
+    # A_level by recursion on z: the first block, or z = r + Q(j) with
+    # 0 <= r <= width(a_{level-1}) and r + P(j) in A_{level-1}
+    if z < 1 or level < 0 or level >= len(c._a):
+        return False
+    if c._blo[level] <= z <= c._bhi[level]:
+        return True
+    if level == 0:
+        return False
+    ln = mpmath.ln(c._a[level - 1])
+    width = int(mpmath.floor(ln))
+    width -= width == ln
+    if width < 0:
+        return False
+    for j in range(0, min(jq + 1, 64)):
+        rem = z - c.Q(j)
+        if 0 <= rem <= width and _oracle_in_level(c, jq, rem + c.P(j), level - 1):
+            return True
+    j = _oracle_j_max(c.Q, jq, z)
+    while j > jq:
+        rem = z - c.Q(j)
+        if rem > width:
+            break
+        if rem >= 0 and _oracle_in_level(c, jq, rem + c.P(j), level - 1):
+            return True
+        j -= 1
+    return False
+
+
+def _oracle_color(c, jq, z):
+    # parity of z's band [a_m, a_{m+1}), or of m + 1 where A_{m+1} dips into it
+    c.color(z)  # extends the ladder past z
+    m = bisect_right(c._blo, z) - 1
+    if m < 0:
+        return 1
+    if z >= c._clo[m + 1] and _oracle_in_level(c, jq, z, m + 1):
+        m += 1
+    return 2 if m % 2 == 0 else 1
+
+
+_BENCH_PAIRS = (("n^2", "n^3", 15), ("2n^2", "3n^3 + n", 14))
+
+
+@pytest.fixture(scope="module")
+def recursive_pairs():
+    # per benchmark pair: a coloring at the benchmark's window, its Q's
+    # increasing-from index, and every level member up to 10^15
+    out = []
+    for pt, qt, a0 in _BENCH_PAIRS:
+        P, Q = parse_poly(pt), parse_poly(qt)
+        members = sorted(z for L in recursive_log_coloring(P, Q, a0=a0, window_n=10**15).levels for z in L)
+        jq = _positive_from(_sub(_shift(list(Q.coeffs), 1), list(Q.coeffs)), False) or 1
+        out.append((recursive_log_coloring(P, Q, a0=a0, window_n=10**6), jq, members))
+    return out
+
+
+_DIP_POINT = st.tuples(st.integers(0, 2), st.integers(0, 10**15), st.integers(-1, 35))
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 1), draws=st.lists(_DIP_POINT, min_size=1, max_size=8))
+def test_recursive_colors_match_recursion_oracle(recursive_pairs, which, draws):
+    # members +- 1, points within the log width above some Q(j), and uniform
+    # points: colors_at, color and the recursion oracle agree on each
+    c, jq, members = recursive_pairs[which]
+    jtop = 50_000  # Q(jtop) < 10^15 for both pairs
+    zs = []
+    for kind, u, d in draws:
+        if kind == 0:
+            z = members[u % len(members)] + max(-1, min(1, d))
+        elif kind == 1:
+            qj = c.Q(1 + u % jtop)
+            z = qj + abs(d) % (int(math.log(qj)) + 1)
+        else:
+            z = 1 + u
+        zs.append(max(1, z))
+    want = [_oracle_color(c, jq, z) for z in zs]
+    assert [c.color(z) for z in zs] == want
+    assert c.colors_at(np.array(zs, dtype=np.int64)).tolist() == want
+    for z, w in zip(zs, want):
+        assert c.colors_at([z]).tolist() == [w]
+
+
+@pytest.mark.parametrize("pt,qt,a0,sizes,sums", [
+    ("n^2", "n^3", 15, [3, 6, 8, 14, 14, 20, 31, 0],
+     [48, 371, 3698, 130223, 12591957, 17059763230, 772282495950798, 0]),
+    ("2n^2", "3n^3 + n", 14, [3, 4, 6, 9, 14, 21, 32, 0],
+     [45, 242, 2877, 99441, 17237045, 30429449568, 1872140496567120, 0]),
+])
+def test_recursive_levels_at_window_1e18(pt, qt, a0, sizes, sums):
+    c = recursive_log_coloring(parse_poly(pt), parse_poly(qt), a0=a0, window_n=10**18)
+    assert [len(L) for L in c.levels] == sizes
+    assert [sum(L) for L in c.levels] == sums
 
 
 def test_find_admissible_a0_fixed():

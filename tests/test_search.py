@@ -1,5 +1,6 @@
 """Bitset survivor engine, configuration search, bad-set audits, APs, thresholds."""
 
+import io
 import math
 import random
 from itertools import combinations
@@ -24,10 +25,12 @@ from sumset_ramsey import (
     parse_coloring_spec,
     parse_poly,
     power_2coloring,
+    read_runlength,
     survivor_set,
     triple_2coloring,
     verify_config,
     window,
+    write_runlength,
 )
 from sumset_ramsey.errors import EmptySet
 from sumset_ramsey import search as search_module
@@ -514,6 +517,49 @@ def test_bad_set_bisection_matches_dense_pass(spec, texts, n, M, color_draw):
             mp.setattr(search_module, "_STEP_OVERHEAD", overhead)
             got.append(bad_set(c, n, polys, 1 + color_draw % c.palette, M)[0].tolist())
     assert got[0] == got[1]
+
+
+def _hits_colorings():
+    buf = io.StringIO()
+    write_runlength(custom_coloring("random", seed=4, k=3), 300, buf)
+    return [
+        custom_coloring("random", seed=9, k=3),
+        custom_coloring("periodic", pattern="1121"),
+        custom_coloring("explicit", values=(2, 1, 2, 2, 1), palette=2),
+        read_runlength(io.StringIO(buf.getvalue())),
+    ]
+
+
+_HITS_COLORINGS = _hits_colorings()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.integers(0, 3),
+    text=st.sampled_from(("n", "3n^2 - 7n", "n^3 + 2n", "5n^4 - n^2", "n^2 - 40n")),
+    n=st.integers(-400, 400),
+    head=st.lists(st.integers(1, 50), max_size=6),
+    tail=st.lists(st.integers(0, 40), max_size=6),
+    color_draw=st.integers(0, 2),
+)
+def test_hits_int64_and_object_paths_match_scalar(which, text, n, head, tail, color_draw):
+    # ms ends at the last m whose values fit the int64 path; one m more
+    # sends the same query down the object path
+    c, P = _HITS_COLORINGS[which], parse_poly(text)
+    color = 1 + color_draw % c.palette
+    fits = search_module._fits_int64
+    lo, hi = 1, 2
+    while fits(P, n, hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(P, n, mid) else (lo, mid)
+    assert fits(P, n, lo) and not fits(P, n, lo + 1)
+    ms = sorted(set(head) | {lo - t for t in tail if lo - t >= 1} | {lo})
+    for top in (lo, lo + 1):
+        ms_top = np.array(sorted(set(ms) | {top}), dtype=np.int64)
+        want = [v >= 1 and c.color(v) == color for v in (n + P(m) for m in ms_top.tolist())]
+        assert search_module._hits(c, n, P, ms_top, color).tolist() == want
 
 
 def test_bad_set_growth_matches_bad_set():
