@@ -10,6 +10,10 @@ Three families are built in:
 * a recursive logarithmic-width coloring for pairs whose growth map expands
   (built from a base level a0 and the iterates a_{n+1} = psi(a_n)).
 
+Each of them is a ``BreakpointColoring``: its color is constant between
+consecutive integer breakpoints, which a generator yields in order.  The
+custom kinds (explicit, periodic, seeded random) color position by position.
+
 All membership decisions at integers are exact: rational boundaries are
 compared via integer cross-multiplication (ceil of a Fraction), polynomial
 boundaries are exact integers, and the recursive construction's real levels
@@ -690,16 +694,21 @@ def find_admissible_a0(P: IntPolynomial, Q: IntPolynomial, scan_limit: int) -> i
     raise NoAdmissibleA0(f"no admissible base level up to {scan_limit}")
 
 
-class RecursiveLogColoring(Coloring):
+class RecursiveLogColoring(BreakpointColoring):
     """2-coloring built from levels a_{n+1} = psi(a_n) and log-width sets A_n.
 
-    A_0 is the first block [a_0, a_0 + f(a_0)); A_{n+1} adds {i + Q(j)} over
-    0 <= i < f(a_n) with i + P(j) in A_n.  Positions in A at an even level get
-    color 2, at an odd level color 1; positions outside A get the parity color
-    of their band [a_m, a_{m+1}); positions below a_0 get color 1.
-    """
+    A_0 is the first block [a_0, a_0 + f(a_0)); A_{n+1} is its own first block
+    plus w - P(j) + Q(j) for each member w of A_n and each j >= 0 with
+    0 <= w - P(j) < f(a_n).  The sets are finite and small, so they are built
+    from their members, one level at a time as the ladder grows.
 
-    palette = 2
+    Band [a_m, a_{m+1}) gets the parity color of m (2 for even m, 1 for odd);
+    a member of A_{m+1} that dips into band m, at or above the bound c_{m+1},
+    takes the parity color of m + 1; positions below a_0 get color 1.  The
+    band edges and the dip members are the breakpoints.  ``window_n`` only
+    decides what ``levels`` lists: A_0 .. A_{top+1} cut to [1, window_n],
+    where band top holds window_n.
+    """
 
     def __init__(self, P: IntPolynomial, Q: IntPolynomial, a0: int, window_n: int,
                  params: AdmissibleParams):
@@ -708,27 +717,32 @@ class RecursiveLogColoring(Coloring):
         self.P, self.Q, self.a0 = P, Q, a0
         self.window_n = window_n
         self.params = params
-        self.descriptor = (
-            f"recursive:P={format_poly(P)},Q={format_poly(Q)},a0={a0},window={window_n}"
-        )
         # level data, all mpf snapshots taken at generous precision
         self._a: list[mpmath.mpf] = []      # band edges a_n
         self._blo: list[int] = []           # ceil(a_n)
         self._bhi: list[int] = []           # floor_strict(a_n + f(a_n)) (first block end)
         self._c: list[mpmath.mpf] = []      # lower bounds for inf A_n
         self._clo: list[int] = []           # ceil of those
-        self._jq = _positive_from(_sub(_shift(list(Q.coeffs), 1), list(Q.coeffs)), False) or 1
-        self._qv = np.zeros(0, dtype=np.int64)
-        self._qv_j = -1
+        self._members: list[list[int]] = []  # A_n, sorted
+        # P increases on the integers from _jp on
+        self._jp = _positive_from(_sub(_shift(list(P.coeffs), 1), list(P.coeffs)), False) or 1
         with mpmath.workprec(256):
             a = mpmath.mpf(a0)
             self._push_level(a, a)
-        self._ensure_cover(window_n)
-        self.levels = self._materialize(window_n)
+        super().__init__(
+            2, 1, self._breakpoints(),
+            f"recursive:P={format_poly(P)},Q={format_poly(Q)},a0={a0},window={window_n}",
+        )
+        self._extend(window_n)
+        top = bisect_right(self._blo, window_n) - 1
+        self.levels = [[z for z in A if z <= window_n] for A in self._members[: top + 2]]
         for lo_set, hi_set in zip(self.levels[1:], self.levels[:-1]):
             if lo_set and hi_set:
                 if min(lo_set) <= max(hi_set):
                     raise DomainError("level sets must be separated")
+
+    # kept in the class dict: perfbench's span table names this method
+    colors_at = BreakpointColoring.colors_at
 
     # -- level ladder -------------------------------------------------------
 
@@ -739,6 +753,7 @@ class RecursiveLogColoring(Coloring):
         self._c.append(c)
         # slack of 2 below the proven lower bound absorbs rounding of c
         self._clo.append(max(1, _ceil_mpf(c) - 2))
+        members = set(range(max(1, self._blo[-1]), self._bhi[-1] + 1))
         if len(self._a) >= 2:
             # level sets may dip below their band edge but never into the band
             # two levels down, and the dip bounds must stay ordered
@@ -746,150 +761,69 @@ class RecursiveLogColoring(Coloring):
                 raise DomainError("level lower bound fell too far")
             if self._clo[-1] < self._clo[-2]:
                 raise DomainError("level lower bounds not monotone")
+            width = _floor_strict(_f_ln(self._a[-2]))
+            for w in self._members[-1]:
+                for j in self._p_between(w - width, w):
+                    z = w - self.P(j) + self.Q(j)
+                    if z >= 1:
+                        members.add(z)
+        self._members.append(sorted(members))
 
-    def _ensure_cover(self, z: int) -> None:
-        """Extend the ladder until the top edge exceeds z."""
-        while self._a[-1] <= z:
-            prec = max(256, int(mpmath.ceil(mpmath.log(self._a[-1], 2))) * 4 + 128)
-            with mpmath.workprec(prec):
-                a_prev = self._a[-1]
-                f_prev = _f_ln(a_prev)
-                a_next = psi_eval(self.P, self.Q, a_prev)
-                c_next = min(a_next, psi_eval(self.P, self.Q, self._c[-1] - f_prev) + f_prev)
-                self._push_level(+a_next, +c_next)
+    def _next_level(self) -> None:
+        prec = max(256, int(mpmath.ceil(mpmath.log(self._a[-1], 2))) * 4 + 128)
+        with mpmath.workprec(prec):
+            a_prev = self._a[-1]
+            f_prev = _f_ln(a_prev)
+            a_next = psi_eval(self.P, self.Q, a_prev)
+            c_next = min(a_next, psi_eval(self.P, self.Q, self._c[-1] - f_prev) + f_prev)
+            self._push_level(+a_next, +c_next)
 
-    # -- window materialization ---------------------------------------------
-
-    def _j_max(self, bound: int) -> int:
-        """Largest j >= jq with Q(j) <= bound, or jq when Q(jq) exceeds it."""
-        jq = self._jq
-        if self.Q(jq) > bound:
-            return jq
-        hi = max(jq, 1)
-        while self.Q(hi) <= bound:
-            hi *= 2
-        lo = jq
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.Q(mid) <= bound:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def _materialize(self, n: int) -> list[list[int]]:
-        """Explicit A_0, A_1, ... intersected with [1, n]."""
-        self._ensure_cover(n)
-        top = max(0, bisect_right(self._blo, n) - 1)
-        out: list[list[int]] = []
-        for level in range(min(top + 2, len(self._a))):
-            first = list(range(max(1, self._blo[level]), min(n, self._bhi[level]) + 1))
-            gen: list[int] = []
-            if level > 0 and out[level - 1]:
-                prev = out[level - 1]
-                width = _floor_strict(_f_ln(self._a[level - 1]))
-                if width >= 0:
-                    for j in range(self._j_max(n) + 1):
-                        qj = self.Q(j)
-                        if qj > n:
-                            continue
-                        pj = self.P(j)
-                        lo = bisect_left(prev, pj)
-                        hi = bisect_right(prev, pj + width)
-                        for w in prev[lo:hi]:
-                            z = (w - pj) + qj
-                            if 1 <= z <= n:
-                                gen.append(z)
-            out.append(sorted(set(first) | set(gen)))
+    def _p_between(self, lo: int, hi: int) -> list[int]:
+        """Every j >= 0 with lo <= P(j) <= hi."""
+        P, j = self.P, self._jp
+        out = [i for i in range(j) if lo <= P(i) <= hi]
+        if P(j) < lo:
+            # bisect the increasing branch for the least j with P(j) >= lo
+            below, j = j, j + 1
+            while P(j) < lo:
+                below, j = j, 2 * j
+            while j - below > 1:
+                mid = (below + j) // 2
+                if P(mid) < lo:
+                    below = mid
+                else:
+                    j = mid
+        while P(j) <= hi:
+            out.append(j)
+            j += 1
         return out
 
-    # -- membership and colors ----------------------------------------------
+    def _breakpoints(self) -> Iterator[tuple[int, int]]:
+        m = 0
+        while True:
+            parity, up = (2, 1) if m % 2 == 0 else (1, 2)
+            yield self._blo[m], parity
+            if len(self._a) == m + 1:
+                self._next_level()
+            # one-position flips where A_{m+1} dips into band m
+            A = self._members[m + 1]
+            lo = bisect_left(A, max(self._blo[m], self._clo[m + 1]))
+            for z in A[lo : bisect_left(A, self._blo[m + 1])]:
+                yield z, up
+                yield z + 1, parity
+            m += 1
 
     def in_level_set(self, z: int, level: int) -> bool:
         """Exact membership of z in A_level (not restricted to the window)."""
-        if z < 1 or level < 0 or level >= len(self._a):
+        if z < 1 or level < 0:
             return False
-        if self._blo[level] <= z <= self._bhi[level]:
-            return True
-        if level == 0:
+        # the ladder then reaches past z, and the sets above it start past z
+        self._extend(z)
+        if level >= len(self._members):
             return False
-        width = _floor_strict(_f_ln(self._a[level - 1]))
-        if width < 0:
-            return False
-        # candidates j with 0 <= z - Q(j) <= width, on the increasing branch
-        jq = self._jq
-        for j in range(0, min(jq + 1, 64)):
-            rem = z - self.Q(j)
-            if 0 <= rem <= width and self.in_level_set(rem + self.P(j), level - 1):
-                return True
-        j = self._j_max(z)
-        while j > jq:
-            rem = z - self.Q(j)
-            if rem > width:
-                break
-            if rem >= 0 and self.in_level_set(rem + self.P(j), level - 1):
-                return True
-            j -= 1
-        return False
-
-    def _band_index(self, z: int) -> int:
-        self._ensure_cover(z)
-        return bisect_right(self._blo, z) - 1
-
-    def color(self, n: int) -> int:
-        if n < 1:
-            raise DomainError(f"positions start at 1, got {n}")
-        m = self._band_index(n)
-        if m < 0:
-            return 1
-        # inside band m the only parity flip comes from A_{m+1} dipping below a_{m+1}
-        if m + 1 < len(self._a) and n >= self._clo[m + 1] and self.in_level_set(n, m + 1):
-            m = m + 1
-        return 2 if m % 2 == 0 else 1
-
-    def colors_at(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=np.int64)
-        if zs.size == 0:
-            return np.zeros(0, dtype=np.uint8)
-        if int(zs.min()) < 1:
-            raise DomainError("positions start at 1")
-        zmax = int(zs.max())
-        self._ensure_cover(zmax)
-        i64max = np.iinfo(np.int64).max
-        blo = np.array([min(v, i64max) for v in self._blo], dtype=np.int64)
-        clo = np.array([min(v, i64max) for v in self._clo], dtype=np.int64)
-        band = np.searchsorted(blo, zs, side="right") - 1
-        out = np.where(band < 0, 1, np.where(band % 2 == 0, 2, 1)).astype(np.uint8)
-        # dip zone: z at band m but at or above the lower bound for A_{m+1};
-        # only points within the log width above some Q(j) can actually be members
-        nxt = np.searchsorted(clo, zs, side="right") - 1
-        suspect = np.nonzero((band >= 0) & (nxt > band))[0]
-        if suspect.size == 0:
-            return out
-        sband = band[suspect]
-        for m in np.unique(sband).tolist():
-            m = int(m)
-            if m + 1 >= len(self._a):
-                continue
-            width = _floor_strict(_f_ln(self._a[m]))
-            if width < 0:
-                continue
-            sel = suspect[sband == m]
-            zsel = zs[sel]
-            qv = self._q_values(self._j_max(int(zsel.max())))
-            pos = np.searchsorted(qv, zsel, side="right") - 1
-            near = pos >= 0
-            near[near] = (zsel[near] - qv[pos[near]]) <= width
-            for idx, z in zip(sel[near].tolist(), zsel[near].tolist()):
-                if self.in_level_set(int(z), m + 1):
-                    out[idx] = 2 if (m + 1) % 2 == 0 else 1
-        return out
-
-    def _q_values(self, jm: int) -> np.ndarray:
-        if jm > self._qv_j:
-            self._qv = np.array(sorted({self.Q(j) for j in range(jm + 1)}), dtype=np.int64)
-            self._qv_j = jm
-        return self._qv
+        A = self._members[level]
+        i = bisect_left(A, z)
+        return i < len(A) and A[i] == z
 
 
 def recursive_log_coloring(

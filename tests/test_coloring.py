@@ -16,6 +16,7 @@ from sumset_ramsey import (
     ExplicitColoring,
     PeriodicColoring,
     SeededRandomColoring,
+    bad_set,
     case2_coloring,
     check_admissible,
     custom_coloring,
@@ -411,6 +412,24 @@ def test_recursive_colors_match_recursion_oracle(recursive_pairs, which, draws):
     assert c.colors_at(np.array(zs, dtype=np.int64)).tolist() == want
     for z, w in zip(zs, want):
         assert c.colors_at([z]).tolist() == [w]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    which=st.integers(0, 1),
+    texts=st.lists(st.sampled_from(("n", "n^2", "n^3", "3n^3 + n", "n^2 - 30n", "n^7 - 3n^6")),
+                   min_size=1, max_size=2, unique=True),
+    n=st.integers(-40, 40),
+    M=st.integers(1, 2000),
+    color=st.integers(1, 2),
+)
+def test_recursive_bad_set_matches_recursion_oracle(recursive_pairs, which, texts, n, M, color):
+    # bad_set inverts n + P(m) at the breakpoints; the oracle colors every m
+    c, jq, _ = recursive_pairs[which]
+    polys = tuple(parse_poly(t) for t in texts)
+    want = [m for m in range(1, M + 1)
+            if all(n + P(m) >= 1 and _oracle_color(c, jq, n + P(m)) == color for P in polys)]
+    assert bad_set(c, n, polys, color, M)[0].tolist() == want
 
 
 @pytest.mark.parametrize("pt,qt,a0,sizes,sums", [
