@@ -45,13 +45,12 @@ from .errors import (
 from .poly import (
     GrowthCase,
     IntPolynomial,
-    _positive_from,
-    _shift,
-    _sub,
     a_star,
     band_offset,
     BandPart,
+    first_at_least,
     format_poly,
+    increasing_from,
     psi_eval,
     psi_prime,
     psi_profile,
@@ -659,7 +658,7 @@ def check_admissible(P: IntPolynomial, Q: IntPolynomial, a0: int, grid: int = 10
         width = _floor_strict(_f_ln(hi))
         lo_v = _ceil_mpf(mpmath.mpf(a0) / 2)
         hi_v = _ceil_mpf(hi)
-        jq = _positive_from(_sub(_shift(list(Q.coeffs), 1), list(Q.coeffs)), False) or 1
+        jq = increasing_from(Q)
         seen: dict[int, tuple[int, int]] = {}
         s = 0
         while True:
@@ -680,6 +679,11 @@ def check_admissible(P: IntPolynomial, Q: IntPolynomial, a0: int, grid: int = 10
 
 def find_admissible_a0(P: IntPolynomial, Q: IntPolynomial, scan_limit: int) -> int:
     """Smallest base level a0 <= scan_limit passing the admissibility checks."""
+    return _first_admissible(P, Q, scan_limit).a0
+
+
+def _first_admissible(P: IntPolynomial, Q: IntPolynomial, scan_limit: int) -> AdmissibleParams:
+    """The certified constants of the smallest admissible a0 <= scan_limit."""
     prof = psi_profile(P, Q)
     if prof.case is not GrowthCase.CASE_I:
         raise DomainError("recursive coloring requires an expanding growth profile")
@@ -687,8 +691,7 @@ def find_admissible_a0(P: IntPolynomial, Q: IntPolynomial, scan_limit: int) -> i
         raise InadmissibleA0("unique-representation check requires deg Q > 1")
     for a0 in range(4, scan_limit + 1):
         try:
-            check_admissible(P, Q, a0)
-            return a0
+            return check_admissible(P, Q, a0)
         except InadmissibleA0:
             continue
     raise NoAdmissibleA0(f"no admissible base level up to {scan_limit}")
@@ -724,8 +727,6 @@ class RecursiveLogColoring(BreakpointColoring):
         self._c: list[mpmath.mpf] = []      # lower bounds for inf A_n
         self._clo: list[int] = []           # ceil of those
         self._members: list[list[int]] = []  # A_n, sorted
-        # P increases on the integers from _jp on
-        self._jp = _positive_from(_sub(_shift(list(P.coeffs), 1), list(P.coeffs)), False) or 1
         with mpmath.workprec(256):
             a = mpmath.mpf(a0)
             self._push_level(a, a)
@@ -761,11 +762,19 @@ class RecursiveLogColoring(BreakpointColoring):
                 raise DomainError("level lower bound fell too far")
             if self._clo[-1] < self._clo[-2]:
                 raise DomainError("level lower bounds not monotone")
+            # each w takes the j >= 0 with w - width <= P(j) <= w: those below
+            # P's increasing branch are checked directly, the rest come from
+            # inverting P at the two ends for every w at once
+            P, Q, jp = self.P, self.Q, increasing_from(self.P)
             width = _floor_strict(_f_ln(self._a[-2]))
-            for w in self._members[-1]:
-                for j in self._p_between(w - width, w):
-                    z = w - self.P(j) + self.Q(j)
-                    if z >= 1:
+            ws = self._members[-1]
+            j0 = first_at_least(P, 0, [w - width for w in ws], jp).tolist()
+            j1 = first_at_least(P, 0, [w + 1 for w in ws], jp).tolist()
+            for w, lo, hi in zip(ws, j0, j1):
+                for j in (*range(jp), *range(lo, hi)):
+                    pj = P(j)
+                    z = w - pj + Q(j)
+                    if w - width <= pj <= w and z >= 1:
                         members.add(z)
         self._members.append(sorted(members))
 
@@ -777,26 +786,6 @@ class RecursiveLogColoring(BreakpointColoring):
             a_next = psi_eval(self.P, self.Q, a_prev)
             c_next = min(a_next, psi_eval(self.P, self.Q, self._c[-1] - f_prev) + f_prev)
             self._push_level(+a_next, +c_next)
-
-    def _p_between(self, lo: int, hi: int) -> list[int]:
-        """Every j >= 0 with lo <= P(j) <= hi."""
-        P, j = self.P, self._jp
-        out = [i for i in range(j) if lo <= P(i) <= hi]
-        if P(j) < lo:
-            # bisect the increasing branch for the least j with P(j) >= lo
-            below, j = j, j + 1
-            while P(j) < lo:
-                below, j = j, 2 * j
-            while j - below > 1:
-                mid = (below + j) // 2
-                if P(mid) < lo:
-                    below = mid
-                else:
-                    j = mid
-        while P(j) <= hi:
-            out.append(j)
-            j += 1
-        return out
 
     def _breakpoints(self) -> Iterator[tuple[int, int]]:
         m = 0
@@ -834,7 +823,5 @@ def recursive_log_coloring(
     scan_limit: int = 1_000_000,
 ) -> RecursiveLogColoring:
     """Build the recursive coloring; find the base level when none is given."""
-    if a0 is None:
-        a0 = find_admissible_a0(P, Q, scan_limit)
-    params = check_admissible(P, Q, a0)
-    return RecursiveLogColoring(P, Q, a0, window_n, params)
+    params = _first_admissible(P, Q, scan_limit) if a0 is None else check_admissible(P, Q, a0)
+    return RecursiveLogColoring(P, Q, params.a0, window_n, params)

@@ -11,7 +11,9 @@ late steps nearly free; the exhaustive search scores all extensions of each
 prefix of C at once.
 
 Also here: bad-set enumeration with stabilization reports, a longest-AP
-dynamic program, and the log-space Gowers density threshold.
+dynamic program, and the log-space Gowers density threshold.  Every value
+n + P(m) and every inversion of it comes from the array layer in ``poly``, so
+int64 versus Python-int arithmetic follows its one overflow rule.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .coloring import BreakpointColoring, ColorWindow, Coloring
 from .errors import DomainError, EmptySet, NoConfiguration
-from .poly import IntPolynomial, _root_bound, _shift, _sub, format_poly
+from .poly import IntPolynomial, first_at_least, format_poly, increasing_from, values
 
 
 @dataclass(frozen=True)
@@ -121,46 +123,14 @@ def survivor_set(w: ColorWindow, polys: Sequence[IntPolynomial], C: Iterable[int
     return v & _full_mask(w.n)
 
 
-def _poly_values(P: IntPolynomial, cs: np.ndarray) -> np.ndarray:
-    """P over an int64 array, exact: falls back to objects near overflow."""
-    if cs.size == 0:
-        return cs
-    top = max(abs(int(cs[0])), abs(int(cs[-1])))
-    bound = sum(abs(c) * top**i for i, c in enumerate(P.coeffs))
-    return P(cs) if bound < (1 << 62) else P(cs.astype(object))
-
-
-def _poly_bound(P: IntPolynomial, n: int) -> int:
-    """Smallest U with a*U > S and U^(d-1) * (a*U - S) > n.
-
-    a is the lead, d the degree and S the sum of |lower coefficients|.  For
-    c >= 1, P(c) >= c^(d-1) * (a*c - S), which grows with c once a*c > S, so
-    P(c) > n for every c >= U.
-    """
-    a, d = P.lead, P.degree
-    S = sum(abs(c) for c in P.coeffs[:-1])
-
-    def above(u: int) -> bool:
-        return u ** (d - 1) * (a * u - S) > n
-
-    lo = hi = S // a + 1
-    while not above(hi):
-        lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _candidates(w: ColorWindow, polys: Sequence[IntPolynomial]) -> np.ndarray:
     """All c >= 1 with max_P P(c) <= N, ascending."""
-    cs = np.arange(1, min(_poly_bound(P, w.n) for P in polys), dtype=np.int64)
+    # past its first m on the increasing branch with P(m) > N, P stays above N
+    top = min(int(first_at_least(P, 0, np.array([w.n + 1]), increasing_from(P))[0]) for P in polys)
+    cs = np.arange(1, top, dtype=np.int64)
     keep = np.ones(cs.shape[0], dtype=bool)
     for P in polys:
-        keep &= _poly_values(P, cs) <= w.n
+        keep &= values(P, cs) <= w.n
     return cs[keep]
 
 
@@ -175,7 +145,7 @@ def _pool_shifts(w: ColorWindow, polys: Sequence[IntPolynomial], pool: np.ndarra
     """P(c) for every pool candidate c, one int64 array per polynomial."""
     # shifts beyond the window clip to n+1: the shifted mask comes out empty
     # either way, and clipped values index the dead padding in phase B
-    return [np.clip(_poly_values(P, pool), -(w.n + 1), w.n + 1).astype(np.int64) for P in polys]
+    return [np.clip(values(P, pool), -(w.n + 1), w.n + 1).astype(np.int64) for P in polys]
 
 
 def _lowest_set(words: np.ndarray, r: int) -> tuple[int, ...]:
@@ -378,73 +348,15 @@ def exhaustive_search(
     )
 
 
-def _fits_int64(P: IntPolynomial, n: int, top: int) -> bool:
-    # |acc_j| <= sum |c_k| top^(k-j) <= sum |c_k| top^k for top >= 1, so the
-    # bound on n + P(m), 1 <= m <= top, also covers every Horner step.
-    return abs(n) + sum(abs(c) * top**k for k, c in enumerate(P.coeffs)) < (1 << 62)
-
-
-def _plus_n(P: IntPolynomial, n: int, ms: np.ndarray) -> np.ndarray:
-    """n + P(ms) by Horner in the dtype of ms (int64 or object)."""
-    acc = np.full(ms.shape[0], P.coeffs[-1], dtype=ms.dtype)
-    for c in reversed(P.coeffs[:-1]):
-        acc *= ms
-        if c:
-            acc += c
-    acc += n
-    return acc
-
-
 def _hits(coloring: Coloring, n: int, P: IntPolynomial, ms: np.ndarray, color: int) -> np.ndarray:
-    """For ascending ms >= 1: n + P(m) >= 1 and colored `color`, exactly."""
-    if _fits_int64(P, n, int(ms[-1])):
-        vals = _plus_n(P, n, ms)
+    """For ms >= 1: n + P(m) >= 1 and colored `color`, exactly."""
+    vals = values(P, ms, n)
+    if vals.dtype == np.int64:
         good = vals >= 1
         if bool(good.all()):
             return coloring.colors_at(vals) == color
         return good & (coloring.colors_at(np.where(good, vals, 1)) == color)
-    vals = _plus_n(P, n, ms.astype(object))
     return np.array([v >= 1 and coloring.color(v) == color for v in vals.tolist()], dtype=bool)
-
-
-def _increasing_from(P: IntPolynomial, M: int) -> int:
-    """Least m0 >= 1 with P strictly increasing on the integers of [m0, M]."""
-    # P(m + 1) - P(m) > 0 beyond its root bound, so only steps below it can fall
-    top = min(_root_bound(_sub(_shift(P.coeffs, 1), P.coeffs)) + 1, M)
-    ms = np.arange(1, top + 1, dtype=np.int64)
-    vals = _plus_n(P, 0, ms if _fits_int64(P, 0, top) else ms.astype(object))
-    down = np.flatnonzero(vals[1:] <= vals[:-1])
-    return int(down[-1]) + 2 if down.size else 1
-
-
-# numpy call overhead of one bisection step, in m of a dense pass.  Measured
-# on triple and geo3 (2 vCPUs): the dense pass wins below M of about 3*10^4
-# (2.5x at 10^4) and the bisection above it.
-_STEP_OVERHEAD = 2048
-
-
-def _first_at_least(P: IntPolynomial, n: int, ts: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Least m in (lo, hi] with n + P(m) >= t, for each cut t in ts.
-
-    P is strictly increasing on [lo, hi] and n + P(lo) < t <= n + P(hi).  A
-    bisection over all cuts at once takes ceil(log2(hi - lo)) steps of
-    len(ts) evaluations each, plus numpy's per-call overhead; one pass over
-    the range costs hi - lo + 1 evaluations.  The cheaper one runs.
-    """
-    dtype = np.int64 if _fits_int64(P, n, hi) else object
-    ts = ts.astype(dtype)
-    steps = (hi - lo).bit_length()
-    if steps * (ts.shape[0] + _STEP_OVERHEAD) < hi - lo + 1:
-        a = np.full(ts.shape[0], lo, dtype=np.int64)
-        b = np.full(ts.shape[0], hi, dtype=np.int64)
-        for _ in range(steps):
-            mid = (a + b) // 2
-            up = _plus_n(P, n, mid.astype(dtype)) >= ts
-            b = np.where(up, mid, b)
-            a = np.where(up, a, mid)
-        return b
-    vals = _plus_n(P, n, np.arange(lo, hi + 1, dtype=np.int64).astype(dtype))
-    return lo + np.searchsorted(vals, ts, side="left")
 
 
 def _good_runs(
@@ -457,9 +369,9 @@ def _good_runs(
     starts where n + P(m) first reaches a cut of the coloring (a breakpoint,
     or the value 1 below which positions have no color).
     """
-    m0 = _increasing_from(P, M)
+    m0 = min(increasing_from(P), M)
     cuts, cols = coloring.segments(n + P(m0), n + P(M))
-    ms = np.concatenate(([m0], _first_at_least(P, n, cuts[1:], m0, M)))
+    ms = np.concatenate(([m0], first_at_least(P, n, cuts[1:], m0, M)))
     # cuts that land on one m: the color of the last one holds there
     last = np.append(ms[1:] != ms[:-1], True)
     good = (cols[last] == color) & (cols[last] != 0)

@@ -30,6 +30,7 @@ from sumset_ramsey import (
     window,
     write_runlength,
 )
+from sumset_ramsey import coloring as coloring_module
 from sumset_ramsey.coloring import Coloring
 from sumset_ramsey.poly import _positive_from, _shift, _sub
 from sumset_ramsey.errors import (
@@ -446,6 +447,19 @@ def test_recursive_levels_at_window_1e18(pt, qt, a0, sizes, sums):
 
 def test_find_admissible_a0_fixed():
     assert find_admissible_a0(N2, N3, 10**6) == 15
+
+
+def test_base_level_scan_checks_each_a0_once(monkeypatch):
+    checked = []
+
+    def counting(P, Q, a0, *args, **kwargs):
+        checked.append(a0)
+        return check_admissible(P, Q, a0, *args, **kwargs)
+
+    monkeypatch.setattr(coloring_module, "check_admissible", counting)
+    c = recursive_log_coloring(N2, N3, window_n=1000)
+    assert c.a0 == 15
+    assert sorted(checked) == sorted(set(checked))
 
 
 def test_find_admissible_a0_exhausted():

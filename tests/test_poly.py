@@ -6,8 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumset_ramsey import (
@@ -24,7 +25,7 @@ from sumset_ramsey import (
 )
 from sumset_ramsey.errors import EqualPolynomials, NotCaseII
 from sumset_ramsey import poly
-from sumset_ramsey.poly import BandPart, GrowthCase, _open_interval_root_free
+from sumset_ramsey.poly import BandOffset, BandPart, GrowthCase, _open_interval_root_free
 
 
 def test_eval_fixed_values():
@@ -379,3 +380,94 @@ def test_positive_from_stops_near_the_top():
     assert poly._positive_from([1 - 10**8, 2], False) == 50_000_000
     assert poly._positive_from([-(10**8), 2], True) == 50_000_000
     assert poly._positive_from([-(10**8), 2], False) == 50_000_001
+
+
+def test_positive_from_starts_at_the_largest_root():
+    # a downward scan from the Cauchy bound would visit about 10^30 and 3 * 10^19
+    # integers here; the Sturm bisection starts at the largest real root
+    assert poly._positive_from([1 + 10**30, 2], False) == 1
+    assert poly._positive_from([1 - 10**20, 3, 3], False) == 5773502692
+
+
+def test_band_offset_with_a_huge_root_bound():
+    P, Q = parse_poly(f"n^2 + {10**30}n"), parse_poly(f"n^2 + {10**30 + 1}n")
+    assert band_offset(P, Q) == BandOffset(l=1, n0=1, part=BandPart.PART_I)
+
+
+_LAYER_POLYS = ("n", "3n^2 - 7n", "n^3 + 2n", "5n^4 - n^2", "n^2 - 40n", "1000000n^4", "n^7 - 3n^6")
+
+
+def _int64_edge(P, n):
+    # the largest top for which the int64 rule holds
+    lo, hi = 1, 2
+    while poly._fits_int64(P, n, hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if poly._fits_int64(P, n, mid) else (lo, mid)
+    return lo
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.sampled_from(_LAYER_POLYS),
+    n=st.integers(-(10**6), 10**6),
+    over=st.booleans(),
+    sign=st.sampled_from((1, -1)),
+    offsets=st.lists(st.integers(-50, 50), max_size=8),
+)
+def test_values_matches_python_ints(text, n, over, sign, offsets):
+    # xs reach the last |x| of the int64 rule, or one past it
+    P = parse_poly(text)
+    edge = _int64_edge(P, n) + over
+    xs = [sign * edge] + offsets + [sign * (edge - abs(d)) for d in offsets]
+    got = poly.values(P, np.array(xs, dtype=np.int64), n)
+    assert (got.dtype == np.int64) == poly._fits_int64(P, n, edge) == (not over)
+    assert got.tolist() == [n + P(x) for x in xs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.sampled_from(_LAYER_POLYS),
+    n=st.integers(-500, 500),
+    span=st.integers(0, 600),
+    picks=st.lists(st.tuples(st.integers(0, 600), st.integers(-1, 1)), max_size=10),
+    give_hi=st.booleans(),
+)
+def test_first_at_least_matches_linear_scan(text, n, span, picks, give_hi):
+    # cuts at, just below and just above values of n + P on [lo, hi], some
+    # past 2^63; every strategy must give the linear scan's answer
+    P = parse_poly(text)
+    lo = poly.increasing_from(P)
+    hi = lo + span
+    ts = [min(n + P(lo + min(k, span)) + d, n + P(hi)) for k, d in picks]
+    want = [next(m for m in range(lo, hi + 1) if n + P(m) >= t) for t in ts]
+    for overhead in (0, 10**12):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_STEP_OVERHEAD", overhead)
+            got = poly.first_at_least(P, n, ts, lo, hi if give_hi else None)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("text", ["n^2 - 40n", "n^3 - 5n^2", "5n^4 - n^2", "n", "2n^3 - 300n^2 + n"])
+def test_increasing_from_matches_brute_force(text):
+    # each of these has P(m + 1) > P(m) for every m >= 1000
+    P = parse_poly(text)
+    falls = [m for m in range(1, 1000) if P(m + 1) <= P(m)]
+    assert poly.increasing_from(P) == (falls[-1] + 1 if falls else 1)
+
+
+def test_search_and_coloring_import_no_private_poly_name():
+    # the exact polynomial layer is poly's public functions
+    src = Path(poly.__file__).resolve().parent
+    for name in ("search.py", "coloring.py"):
+        tree = ast.parse((src / name).read_text(), filename=name)
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "poly"
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert not private, f"{name} imports {private} from poly"

@@ -33,6 +33,7 @@ from sumset_ramsey import (
     write_runlength,
 )
 from sumset_ramsey.errors import EmptySet
+from sumset_ramsey import poly as poly_module
 from sumset_ramsey import search as search_module
 from sumset_ramsey.search import _candidates
 
@@ -514,7 +515,7 @@ def test_bad_set_bisection_matches_dense_pass(spec, texts, n, M, color_draw):
     for overhead in (0, 10**12):
         c = parse_coloring_spec(spec)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search_module, "_STEP_OVERHEAD", overhead)
+            mp.setattr(poly_module, "_STEP_OVERHEAD", overhead)
             got.append(bad_set(c, n, polys, 1 + color_draw % c.palette, M)[0].tolist())
     assert got[0] == got[1]
 
@@ -547,7 +548,7 @@ def test_hits_int64_and_object_paths_match_scalar(which, text, n, head, tail, co
     # sends the same query down the object path
     c, P = _HITS_COLORINGS[which], parse_poly(text)
     color = 1 + color_draw % c.palette
-    fits = search_module._fits_int64
+    fits = poly_module._fits_int64
     lo, hi = 1, 2
     while fits(P, n, hi):
         lo, hi = hi, 2 * hi
