@@ -54,6 +54,7 @@ from .poly import (
     psi_eval,
     psi_prime,
     psi_profile,
+    values,
 )
 
 DEFAULT_WINDOW_CAP = 10_000_000
@@ -181,64 +182,75 @@ def window(coloring: Coloring, n: int) -> ColorWindow:
 # breakpoint colorings: color is constant between consecutive integer breakpoints
 # ---------------------------------------------------------------------------
 
+Block = tuple[Sequence[int], Sequence[int]]
+
+
 class BreakpointColoring(Coloring):
     """Coloring given by an unbounded increasing sequence of integer breakpoints.
 
-    ``gen`` yields (breakpoint, color) with non-decreasing breakpoints; color
-    holds on [bp_i, bp_{i+1}).  Positions below the first breakpoint get
-    ``below``.  Zero-width segments (equal consecutive breakpoints) collapse.
+    ``gen`` yields blocks (breakpoints, colors): two sequences of one length,
+    the breakpoints an int64 ndarray, an object ndarray of Python ints, or a
+    short list, non-decreasing within and across blocks.  Color colors[i]
+    holds from breakpoint i up to the next one; positions below the first
+    breakpoint get ``below``.  Equal breakpoints collapse into one, which
+    takes the color of the last of them, so a run equal to the last stored
+    breakpoint recolors that breakpoint's segment.
+
+    The breakpoints are stored once: an int64 array up to 2^63 - 1, then a
+    list of the Python ints past it.
     """
 
-    def __init__(self, palette: int, below: int, gen: Iterator[tuple[int, int]], descriptor: str):
+    def __init__(self, palette: int, below: int, gen: Iterator[Block], descriptor: str):
         self.palette = palette
         self.descriptor = descriptor
         self._gen = gen
-        self._bps: list[int] = []
-        # _table[i] is the color on [bp_{i-1}, bp_i), _table[0] = below; _bp64
-        # holds the first _n64 breakpoints, those that fit in int64.  Both grow
-        # with _extend, their capacity by doubling.
-        self._table = np.full(64, below, dtype=np.uint8)
-        self._bp64 = np.zeros(64, dtype=np.int64)
-        self._n64 = 0
+        # _table[i] is the color from breakpoint i - 1 up to breakpoint i,
+        # _table[0] = below; breakpoint i is _bp64[i] or _tail[i - len(_bp64)]
+        self._table = np.array([below], dtype=np.uint8)
+        self._bp64 = np.zeros(0, dtype=np.int64)
+        self._tail: list[int] = []
+        self._last: int | None = None
 
     def _extend(self, z: int) -> None:
-        last = self._bps[-1] if self._bps else None
+        """Take blocks from the generator until a breakpoint passes z."""
+        last = self._last
         if last is not None and last > z:
             return
-        bps: list[int] = []
-        cols: list[int] = []
+        bps_blocks: list[np.ndarray] = []
+        col_blocks: list[np.ndarray] = []
         while last is None or last <= z:
-            bp, col = next(self._gen)
-            bp = int(bp)
-            if last is not None and bp < last:  # pragma: no cover
-                raise DomainError("breakpoint generator went backwards")
-            if bp != last:
-                bps.append(bp)
-                cols.append(col)
-                last = bp
-            elif cols:
-                cols[-1] = col
-            else:
-                self._table[len(self._bps)] = col
-        k0 = len(self._bps)
-        self._bps.extend(bps)
-        k = len(self._bps)
-        if k >= self._table.shape[0]:
-            table = np.zeros(2 * k, dtype=np.uint8)
-            table[: k0 + 1] = self._table[: k0 + 1]
-            bp64 = np.zeros(2 * k, dtype=np.int64)
-            bp64[: self._n64] = self._bp64[: self._n64]
-            self._table, self._bp64 = table, bp64
-        self._table[k0 + 1 : k + 1] = cols
-        fit = bisect_right(bps, _I64_MAX)
-        self._bp64[self._n64 : self._n64 + fit] = bps[:fit]
-        self._n64 += fit
+            bps, cols = next(self._gen)
+            if len(bps):
+                if not (isinstance(bps, np.ndarray) and bps.dtype == np.int64):
+                    bps = np.array(bps, dtype=object)
+                bps_blocks.append(bps)
+                col_blocks.append(np.asarray(cols, dtype=np.uint8))
+                last = int(bps[-1])
+        bps, cols = np.concatenate(bps_blocks), np.concatenate(col_blocks)
+        if bool((bps[1:] < bps[:-1]).any()) or (self._last is not None and int(bps[0]) < self._last):
+            raise DomainError("breakpoint generator went backwards")
+        keep = np.append(bps[1:] != bps[:-1], True)
+        bps, cols = bps[keep], cols[keep]
+        if self._last is not None and int(bps[0]) == self._last:
+            self._table[-1] = cols[0]
+            bps, cols = bps[1:], cols[1:]
+        fit = bps.shape[0] if bps.dtype == np.int64 else int(np.count_nonzero(bps <= _I64_MAX))
+        self._bp64 = np.concatenate((self._bp64, bps[:fit].astype(np.int64)))
+        self._tail.extend(bps[fit:].tolist())
+        self._table = np.concatenate((self._table, cols))
+        self._last = last
+
+    def _rank(self, z: int) -> int:
+        """Number of breakpoints <= z."""
+        if z <= _I64_MAX:
+            return int(np.searchsorted(self._bp64, z, side="right"))
+        return self._bp64.shape[0] + bisect_right(self._tail, z)
 
     def color(self, n: int) -> int:
         if n < 1:
             raise DomainError(f"positions start at 1, got {n}")
         self._extend(n)
-        return int(self._table[bisect_right(self._bps, n)])
+        return int(self._table[self._rank(n)])
 
     def colors_at(self, zs) -> np.ndarray:
         zs = np.asarray(zs, dtype=np.int64)
@@ -247,8 +259,8 @@ class BreakpointColoring(Coloring):
         if int(zs.min()) < 1:
             raise DomainError("positions start at 1")
         self._extend(int(zs.max()))
-        # every int64 z lies below the breakpoints past the int64 prefix
-        return self._table[np.searchsorted(self._bp64[: self._n64], zs, side="right")]
+        # every int64 z lies below the breakpoints of the tail
+        return self._table[np.searchsorted(self._bp64, zs, side="right")]
 
     def segments(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Color runs of the values lo..hi as (starts, colors), starts[0] == lo.
@@ -265,19 +277,22 @@ class BreakpointColoring(Coloring):
         if hi >= 1:
             a = max(lo, 1)
             self._extend(hi)
-            i, j = bisect_right(self._bps, a), bisect_right(self._bps, hi)
+            i, j = self._rank(a), self._rank(hi)
             starts.append(a)
             colors = np.concatenate((colors, self._table[i : j + 1]))
         if -_I64_MAX <= lo and hi <= _I64_MAX:
             return np.concatenate((np.array(starts, dtype=np.int64), self._bp64[i:j])), colors
-        return np.array(starts + self._bps[i:j], dtype=object), colors
+        n64 = self._bp64.shape[0]
+        cuts = self._bp64[i:j].tolist() + self._tail[max(i - n64, 0) : max(j - n64, 0)]
+        return np.array(starts + cuts, dtype=object), colors
 
 
-def _interval_gen(points: Callable[[int], Iterable[tuple[Fraction, int]]]) -> Iterator[tuple[int, int]]:
+def _interval_gen(points: Callable[[int], Iterable[tuple[Fraction, int]]]) -> Iterator[Block]:
+    """One block per m: the ceilings of the band points of points(m)."""
     m = 1
     while True:
-        for bound, col in points(m):
-            yield _ceil_frac(bound), col
+        pts = points(m)
+        yield [_ceil_frac(bound) for bound, _ in pts], [col for _, col in pts]
         m += 1
 
 
@@ -382,33 +397,32 @@ def triple_2coloring(
 def case2_coloring(P: IntPolynomial, Q: IntPolynomial) -> BreakpointColoring:
     """2-coloring adapted to an equal-degree, equal-lead pair via its band offset.
 
-    PartI colors [P(n0+l-1), Q(n0)) with 2 and the rest with 1; PartII blocks
+    PartI colors [P(n0+k+l-1), Q(n0+k)) with 2 and the rest with 1; PartII blocks
     [Q(N0+kl), Q(N0+(k+1)l)) and PartIII blocks [P(N0+k(l-1)), P(N0+(k+1)(l-1)))
     alternate 1, 2 starting at color 1 (k = 0).  Everything below starts at 1.
+    The breakpoints come in blocks of consecutive k, evaluated by ``values``.
     """
     off = band_offset(P, Q)
     n0, l = off.n0, off.l
 
-    if off.part is BandPart.PART_I:
-        def gen() -> Iterator[tuple[int, int]]:
-            m = n0
-            while True:
-                yield P(m + l - 1), 2
-                yield Q(m), 1
-                m += 1
-    elif off.part is BandPart.PART_II:
-        def gen() -> Iterator[tuple[int, int]]:
-            k = 0
-            while True:
-                yield Q(n0 + k * l), 1 if k % 2 == 0 else 2
-                k += 1
-    else:
-        step = l - 1
-        def gen() -> Iterator[tuple[int, int]]:
-            k = 0
-            while True:
-                yield P(n0 + k * step), 1 if k % 2 == 0 else 2
-                k += 1
+    def block(ks: np.ndarray) -> Block:
+        if off.part is BandPart.PART_I:
+            lower, upper = values(P, n0 + ks + (l - 1)), values(Q, n0 + ks)
+            bps = np.empty(2 * ks.shape[0], dtype=np.result_type(lower, upper))
+            bps[0::2], bps[1::2] = lower, upper
+            return bps, np.tile(np.array([2, 1], dtype=np.uint8), ks.shape[0])
+        if off.part is BandPart.PART_II:
+            bps = values(Q, n0 + ks * l)
+        else:
+            bps = values(P, n0 + ks * (l - 1))
+        return bps, (1 + ks % 2).astype(np.uint8)
+
+    def gen() -> Iterator[Block]:
+        # blocks of consecutive k, doubling from 64
+        k, size = 0, 64
+        while True:
+            yield block(np.arange(k, k + size, dtype=np.int64))
+            k, size = k + size, 2 * size
 
     desc = f"case2:P={format_poly(P)},Q={format_poly(Q)}"
     out = BreakpointColoring(2, 1, gen(), desc)
@@ -787,19 +801,23 @@ class RecursiveLogColoring(BreakpointColoring):
             c_next = min(a_next, psi_eval(self.P, self.Q, self._c[-1] - f_prev) + f_prev)
             self._push_level(+a_next, +c_next)
 
-    def _breakpoints(self) -> Iterator[tuple[int, int]]:
+    def _breakpoints(self) -> Iterator[Block]:
+        """One block per level m: the flips where A_m dips into band m - 1,
+        then the band edge a_m; the ladder grows one level per block."""
         m = 0
         while True:
-            parity, up = (2, 1) if m % 2 == 0 else (1, 2)
-            yield self._blo[m], parity
-            if len(self._a) == m + 1:
+            if len(self._a) == m:
                 self._next_level()
-            # one-position flips where A_{m+1} dips into band m
-            A = self._members[m + 1]
-            lo = bisect_left(A, max(self._blo[m], self._clo[m + 1]))
-            for z in A[lo : bisect_left(A, self._blo[m + 1])]:
-                yield z, up
-                yield z + 1, parity
+            parity, below = (2, 1) if m % 2 == 0 else (1, 2)
+            bps: list[int] = []
+            cols: list[int] = []
+            if m:
+                A = self._members[m]
+                lo = bisect_left(A, max(self._blo[m - 1], self._clo[m]))
+                for z in A[lo : bisect_left(A, self._blo[m])]:
+                    bps += (z, z + 1)
+                    cols += (parity, below)
+            yield bps + [self._blo[m]], cols + [parity]
             m += 1
 
     def in_level_set(self, z: int, level: int) -> bool:

@@ -91,13 +91,24 @@ def _root_bound(coeffs: Sequence[int]) -> int:
     return 1 + (m + abs(lead) - 1) // abs(lead) + 1
 
 
+def _root_free_from(cs: Sequence[int]) -> int:
+    """Least integer a >= 0 with no real root of cs in (a, oo), by bisection."""
+    lo, hi = 0, _root_bound(cs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _open_interval_root_free(cs, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _positive_from(coeffs: Sequence[int], allow_zero: bool) -> int | None:
     """Smallest integer v >= 1 with coeffs(n) > 0 (or >= 0) for every int n >= v.
 
-    Exact for integer arguments: a bisection with the Sturm count finds the
-    least integer a >= 0 with no real root in (a, oo), past which the sign is
-    the lead's; from max(a, 1) integers are checked downward until the first
-    one that fails.  Returns None when no such v exists.
+    Exact for integer arguments: past ``_root_free_from`` the sign is the
+    lead's; from there integers are checked downward until the first one that
+    fails.  Returns None when no such v exists.
     """
     cs = _trim(list(coeffs))
     if not cs:
@@ -107,14 +118,7 @@ def _positive_from(coeffs: Sequence[int], allow_zero: bool) -> int | None:
         return 1 if ok else None
     if cs[-1] < 0:
         return None
-    lo, hi = 0, _root_bound(cs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _open_interval_root_free(cs, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    for n in range(max(lo, 1), 0, -1):
+    for n in range(max(_root_free_from(cs), 1), 0, -1):
         val = _eval_coeffs(cs, n)
         if val < 0 or (val == 0 and not allow_zero):
             return n + 1
@@ -248,10 +252,13 @@ def _horner(P: IntPolynomial, xs: np.ndarray, n: int, dtype) -> np.ndarray:
     return acc
 
 
-# numpy call overhead of one bisection step, in m of a dense pass.  Measured
+# numpy call overhead of one bisection step, in int64 evaluations.  Measured
 # on triple and geo3 (2 vCPUs): the dense pass wins below M of about 3*10^4
 # (2.5x at 10^4) and the bisection above it.
 _STEP_OVERHEAD = 2048
+# one evaluation in an object array, in int64 evaluations: each Horner step is
+# a Python operation (55-135x measured for degrees 1 to 7, 2 vCPUs)
+_OBJECT_EVAL = 64
 
 
 def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None) -> np.ndarray:
@@ -261,7 +268,8 @@ def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None)
     hi is found by doubling.  A bisection over all t at once takes
     ceil(log2(hi - lo + 1)) steps of len(ts) evaluations each, plus numpy's
     per-call overhead; one pass over [lo, hi] costs hi - lo + 1 evaluations.
-    The cheaper one runs.
+    Evaluations are costed in the dtype chosen for them, and the cheaper way
+    runs.
     """
     if not isinstance(ts, np.ndarray) or ts.dtype != np.int64:
         ts = np.array(ts, dtype=object)  # np.asarray turns ints past 2^63 into floats
@@ -273,7 +281,8 @@ def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None)
     dtype = np.int64 if ts.dtype == np.int64 and _fits_int64(P, n, max(1, abs(lo), abs(hi))) else object
     ts = ts.astype(dtype, copy=False)
     steps = (hi - lo).bit_length()
-    if steps * (ts.shape[0] + _STEP_OVERHEAD) < hi - lo + 1:
+    unit = 1 if dtype is np.int64 else _OBJECT_EVAL
+    if steps * (ts.shape[0] * unit + _STEP_OVERHEAD) < (hi - lo + 1) * unit:
         a = np.full(ts.shape[0], lo, dtype=np.int64)
         b = np.full(ts.shape[0], hi, dtype=np.int64)
         for _ in range(steps):
@@ -392,22 +401,10 @@ def _a_star_cached(p_coeffs: tuple[int, ...], q_coeffs: tuple[int, ...]) -> int:
         conds.append(dqp)
     conds.append(_sub(P, [1]))          # P >= 1 beyond the threshold
     conds.append(_sub(_derive(P), [1]))  # P' >= 1 beyond the threshold
-    bound = max(_root_bound(_trim(list(c))) for c in conds if _trim(list(c))) + 1
-    for a in range(1, bound + 2):
-        ok = True
-        for cs in conds:
-            csr = _trim(list(cs))
-            if not csr:
-                continue
-            if not _open_interval_root_free(csr, a):
-                ok = False
-                break
-            if _eval_coeffs(csr, a + 1) <= 0 and _eval_coeffs(csr, bound + 2) <= 0:
-                ok = False
-                break
-        if ok:
-            return a
-    raise DomainError("no monotonicity threshold found")  # pragma: no cover
+    # every nonzero condition has a positive lead (P's lead is positive, and
+    # the two dominance leads are checked above), so one that is root-free
+    # on (a, oo) is positive there; being root-free is monotone in a
+    return max([1] + [_root_free_from(cs) for cs in conds if cs])
 
 
 def a_star(P: IntPolynomial, Q: IntPolynomial) -> int:

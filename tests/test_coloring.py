@@ -1,6 +1,7 @@
 """Interval colorings, the recursive log-width coloring, and window plumbing."""
 
 import io
+import itertools
 import math
 import random
 from bisect import bisect_right
@@ -9,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumset_ramsey import (
@@ -31,11 +32,12 @@ from sumset_ramsey import (
     write_runlength,
 )
 from sumset_ramsey import coloring as coloring_module
-from sumset_ramsey.coloring import Coloring
-from sumset_ramsey.poly import _positive_from, _shift, _sub
+from sumset_ramsey.coloring import BreakpointColoring, Coloring
+from sumset_ramsey.poly import BandPart, _positive_from, _shift, _sub, band_offset
 from sumset_ramsey.errors import (
     BadPair,
     BadParams,
+    DomainError,
     EmptyPattern,
     InadmissibleA0,
     NoAdmissibleA0,
@@ -592,6 +594,188 @@ def test_breakpoint_colors_at_past_int64(monkeypatch):
         assert np.array_equal(c.window(10**5).colors, want)
         assert c.colors_at(zs).tolist() == fresh.colors_at(zs).tolist()
         assert c.colors_at(zs).tolist() == [make().color(int(z)) for z in zs]
+
+
+_I64_MAX = 2**63 - 1
+
+
+def _collapse(flat):
+    # equal breakpoints keep the color of the last of them
+    bps, cols = [], []
+    for bp, col in flat:
+        if bps and bps[-1] == bp:
+            cols[-1] = col
+        else:
+            bps.append(bp)
+            cols.append(col)
+    return bps, cols
+
+
+def _ref_color(flat, below, z):
+    # the color of the last (breakpoint, color) pair at or below z
+    bps, cols = _collapse(flat)
+    i = bisect_right(bps, z)
+    return cols[i - 1] if i else below
+
+
+def _ref_segments(flat, below, lo, hi):
+    bps, cols = _collapse(flat)
+    if hi < 1:
+        return [lo], [0]
+    a = max(lo, 1)
+    i, j = bisect_right(bps, a), bisect_right(bps, hi)
+    starts = ([lo] if lo < 1 else []) + [a] + bps[i:j]
+    colors = ([0] if lo < 1 else []) + [cols[i - 1] if i else below] + cols[i:j]
+    return starts, colors
+
+
+def _check_segments(c, flat, below, lo, hi):
+    starts, colors = c.segments(lo, hi)
+    want_starts, want_colors = _ref_segments(flat, below, lo, hi)
+    assert starts.dtype == (np.int64 if -_I64_MAX <= lo and hi <= _I64_MAX else object)
+    assert (starts.tolist(), colors.tolist()) == (want_starts, want_colors)
+
+
+def _synthetic(blocks, forms):
+    """Breakpoint coloring over the given (breakpoints, colors) blocks, each
+    an int64 array (form 0, when it fits), an object array (1) or a list (2),
+    continued by one breakpoint per block far past them."""
+    def gen():
+        for (bps, cols), form in zip(blocks, forms):
+            if form == 0 and (not bps or bps[-1] <= _I64_MAX):
+                bps = np.array(bps, dtype=np.int64)
+            elif form == 1:
+                bps = np.array(bps, dtype=object)
+            yield bps, cols
+        last = max([bp for bps, _ in blocks for bp in bps], default=1)
+        for j in itertools.count(1):
+            yield [last + 1000 * j], [1 + j % 3]
+    return BreakpointColoring(3, 3, gen(), "synthetic")
+
+
+def _check_block_protocol(blocks, forms, picks):
+    flat = [(bp, col) for bps, cols in blocks for bp, col in zip(bps, cols)]
+    zs = sorted({z for bp, _ in flat for z in (bp - 1, bp, bp + 1) if z >= 1} | {1})
+    want = [_ref_color(flat, 3, z) for z in zs]
+    # one generator step per query: colors asked in ascending order
+    step = _synthetic(blocks, forms)
+    assert [step.color(z) for z in zs] == want
+    # everything at once, then again on the extended object
+    fresh = _synthetic(blocks, forms)
+    small = [z for z in zs if z <= _I64_MAX]
+    assert fresh.colors_at(np.array(small, dtype=np.int64)).tolist() == want[: len(small)]
+    assert [fresh.color(z) for z in zs] == want
+    for i, j in picks:
+        lo, hi = sorted((zs[i % len(zs)], zs[j % len(zs)]))
+        for c in (_synthetic(blocks, forms), step):
+            _check_segments(c, flat, 3, lo, hi)
+            _check_segments(c, flat, 3, -2, hi)
+
+
+def _blocks_from(base, raw):
+    # raw blocks of (gap, color): breakpoints are running sums of the gaps
+    x, blocks = base, []
+    for block in raw:
+        bps, cols = [], []
+        for gap, col in block:
+            x += gap
+            bps.append(x)
+            cols.append(col)
+        blocks.append((bps, cols))
+    return blocks
+
+
+@pytest.mark.parametrize("blocks", [
+    # equal breakpoints inside a block
+    [([3, 3, 7, 7, 7, 9], [1, 2, 3, 1, 2, 1])],
+    # across a block boundary, and an empty block between
+    [([3, 5], [2, 1]), ([], []), ([5, 5, 8], [3, 2, 1]), ([8], [3])],
+    # equal to the last breakpoint stored by an earlier query
+    [([2, 6], [1, 2]), ([6, 11], [3, 1]), ([11], [2]), ([11, 11, 12], [1, 3, 2])],
+    # straddling 2^63, equal at the int64 edge across blocks
+    [([_I64_MAX - 3, _I64_MAX], [1, 2]), ([_I64_MAX, _I64_MAX + 1, _I64_MAX + 1], [3, 1, 2]),
+     ([2**64, 2**64], [1, 3])],
+])
+@pytest.mark.parametrize("form", [0, 1, 2])
+def test_block_protocol_fixed(blocks, form):
+    _check_block_protocol(blocks, [form] * len(blocks), [(0, -1), (1, 3), (2, 2), (-2, -1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.sampled_from([0, _I64_MAX - 40]),
+    raw=st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), max_size=8), min_size=1, max_size=6),
+    forms=st.lists(st.integers(0, 2), min_size=6, max_size=6),
+    picks=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=3),
+)
+def test_block_protocol_matches_scalar_reference(base, raw, forms, picks):
+    _check_block_protocol(_blocks_from(base, raw), forms, picks)
+
+
+@pytest.mark.parametrize("blocks,asks", [
+    ([([5, 3], [1, 2])], [10]),
+    ([([5, 8], [1, 2]), ([7], [1])], [10]),
+    ([([5, 8], [1, 2]), ([7, 20], [1, 2])], [6, 10]),
+    ([([_I64_MAX + 5], [1]), ([_I64_MAX], [2])], [_I64_MAX + 10]),
+])
+def test_block_protocol_rejects_a_backward_step(blocks, asks):
+    c = _synthetic(blocks, [0] * len(blocks))
+    with pytest.raises(DomainError):
+        for z in asks:
+            c.color(z)
+
+
+def _case2_scalar(P, Q):
+    # the per-k generators the block generator replaced: one Horner each
+    off = band_offset(P, Q)
+    n0, l = off.n0, off.l
+    if off.part is BandPart.PART_I:
+        m = n0
+        while True:
+            yield P(m + l - 1), 2
+            yield Q(m), 1
+            m += 1
+    R, step = (Q, l) if off.part is BandPart.PART_II else (P, l - 1)
+    k = 0
+    while True:
+        yield R(n0 + k * step), 1 if k % 2 == 0 else 2
+        k += 1
+
+
+_CASE2_BLOCK_PAIRS = (
+    ("n^2", "n^2 + n", BandPart.PART_I),
+    ("n^2", "n^2 + 5n", BandPart.PART_I),
+    ("n^2", "n^2 + 2n", BandPart.PART_II),
+    ("n^2", "n^2 + 4n", BandPart.PART_II),
+    ("n^3 - n", "n^3 + 3n^2 + 2n", BandPart.PART_III),
+    # values pass 2^63 near k = 512: object blocks
+    ("n^7", "n^7 + n^6", BandPart.PART_I),
+    ("n^7", "n^7 + 7n^6 + 21n^5 + 35n^4 + 35n^3 + 21n^2 + 7n", BandPart.PART_II),
+    ("n^7 - n", "n^7 + 7n^6 + 21n^5 + 35n^4 + 35n^3 + 21n^2 + 6n", BandPart.PART_III),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(which=st.integers(0, len(_CASE2_BLOCK_PAIRS) - 1), count=st.integers(1, 2200), first=st.integers(0, 2199))
+# the block boundaries of k = 64, 192, 448 and 960, and the int64 edge
+@example(which=5, count=2000, first=1100)
+@example(which=6, count=1000, first=500)
+@example(which=7, count=1000, first=63)
+@example(which=0, count=1921, first=383)
+def test_case2_blocks_match_scalar_generators(which, count, first):
+    Pt, Qt, part = _CASE2_BLOCK_PAIRS[which]
+    P, Q = parse_poly(Pt), parse_poly(Qt)
+    assert band_offset(P, Q).part is part
+    scalar = _case2_scalar(P, Q)
+    flat = list(itertools.islice(scalar, count))
+    hi = flat[-1][0]
+    flat += list(itertools.takewhile(lambda e: e[0] <= hi, scalar))
+    mid = flat[first % count][0]
+    c = case2_coloring(P, Q)
+    assert c.color(mid) == _ref_color(flat, 1, mid)
+    _check_segments(c, flat, 1, 1, hi)
+    _check_segments(c, flat, 1, mid - 1, hi)
+    _check_segments(case2_coloring(P, Q), flat, 1, mid, hi)
 
 
 @pytest.fixture(scope="module")

@@ -353,6 +353,54 @@ def test_a_star_fixed_values(pt, qt, want):
     assert a_star(parse_poly(pt), parse_poly(qt)) == want
 
 
+def _a_star_scan(P, Q):
+    # the linear scan a = 1, 2, ...: root-free on (a, oo) plus a sign probe
+    conds = []
+    if P.coeffs != Q.coeffs:
+        qp = poly._sub(Q.coeffs, P.coeffs)
+        if not qp or qp[-1] <= 0:
+            raise DomainError("Q does not eventually dominate P")
+        conds += [qp, poly._derive(qp)]
+    conds += [poly._sub(P.coeffs, [1]), poly._sub(poly._derive(P.coeffs), [1])]
+    conds = [cs for cs in conds if cs]
+    bound = max(poly._root_bound(cs) for cs in conds) + 1
+    for a in range(1, bound + 2):
+        if all(
+            _open_interval_root_free(cs, a)
+            and not (poly._eval_coeffs(cs, a + 1) <= 0 and poly._eval_coeffs(cs, bound + 2) <= 0)
+            for cs in conds
+        ):
+            return a
+    raise AssertionError("the scan found no threshold")
+
+
+def _poly_from(lead, lower):
+    return IntPolynomial([0] + lower + [lead])
+
+
+_SMALL_POLY = st.builds(_poly_from, st.integers(1, 4), st.lists(st.integers(-40, 40), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=_SMALL_POLY, Q=_SMALL_POLY)
+def test_a_star_matches_linear_scan(P, Q):
+    # the bisection must give the scan's answer, sign probe included
+    try:
+        want = _a_star_scan(P, Q)
+    except DomainError:
+        with pytest.raises(DomainError):
+            a_star(P, Q)
+        return
+    assert a_star(P, Q) == want
+
+
+@pytest.mark.parametrize("e,want", [(10, 100_001), (30, 10**15 + 1)])
+def test_a_star_large_linear_coefficient(e, want):
+    # n^3 - n^2 - 10^e n has its root just above 10^(e/2): the scan would take
+    # 10^(e/2) Sturm counts
+    assert a_star(parse_poly(f"n^2 + {10**e}n"), parse_poly("n^3")) == want
+
+
 def _positive_from_upward(cs, allow_zero):
     # the upward scan: every integer up to the Cauchy bound, the last failure + 1
     cs = poly._trim(list(cs))
@@ -448,6 +496,26 @@ def test_first_at_least_matches_linear_scan(text, n, span, picks, give_hi):
             got = poly.first_at_least(P, n, ts, lo, hi if give_hi else None)
         assert got.dtype == np.int64
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("n,dense", [(0, True), (2**62, False)])
+def test_first_at_least_costs_the_chosen_dtype(monkeypatch, n, dense):
+    # 48 cuts over m <= 10^4 of 2n^4: int64 evaluations are cheap enough for
+    # one dense pass, object evaluations are not
+    P = parse_poly("2n^4")
+    evaluated = []
+    horner = poly._horner
+
+    def counting(P, xs, n, dtype):
+        evaluated.append(xs.shape[0])
+        return horner(P, xs, n, dtype)
+
+    monkeypatch.setattr(poly, "_horner", counting)
+    ts = np.array([n + P(m) for m in range(200, 10**4, 205)], dtype=np.int64)
+    got = poly.first_at_least(P, n, ts, 1, 10**4)
+    assert got.tolist() == list(range(200, 10**4, 205))
+    assert (evaluated == [10**4]) == dense
+    assert sum(evaluated) <= 10**4
 
 
 @pytest.mark.parametrize("text", ["n^2 - 40n", "n^3 - 5n^2", "5n^4 - n^2", "n", "2n^3 - 300n^2 + n"])
