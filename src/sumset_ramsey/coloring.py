@@ -405,23 +405,27 @@ def case2_coloring(P: IntPolynomial, Q: IntPolynomial) -> BreakpointColoring:
     off = band_offset(P, Q)
     n0, l = off.n0, off.l
 
-    def block(ks: np.ndarray) -> Block:
+    def block(k: int, size: int) -> Block:
+        ks = np.arange(k, k + size, dtype=np.int64)
+        # every argument is at most n0 + (k + size) * l: Python ints once that
+        # nears 2^63, since n0 itself may lie past it
+        xs = ks if n0 + (k + size) * l < 1 << 62 else ks.astype(object)
         if off.part is BandPart.PART_I:
-            lower, upper = values(P, n0 + ks + (l - 1)), values(Q, n0 + ks)
-            bps = np.empty(2 * ks.shape[0], dtype=np.result_type(lower, upper))
+            lower, upper = values(P, n0 + xs + (l - 1)), values(Q, n0 + xs)
+            bps = np.empty(2 * size, dtype=np.result_type(lower, upper))
             bps[0::2], bps[1::2] = lower, upper
-            return bps, np.tile(np.array([2, 1], dtype=np.uint8), ks.shape[0])
+            return bps, np.tile(np.array([2, 1], dtype=np.uint8), size)
         if off.part is BandPart.PART_II:
-            bps = values(Q, n0 + ks * l)
+            bps = values(Q, n0 + xs * l)
         else:
-            bps = values(P, n0 + ks * (l - 1))
+            bps = values(P, n0 + xs * (l - 1))
         return bps, (1 + ks % 2).astype(np.uint8)
 
     def gen() -> Iterator[Block]:
         # blocks of consecutive k, doubling from 64
         k, size = 0, 64
         while True:
-            yield block(np.arange(k, k + size, dtype=np.int64))
+            yield block(k, size)
             k, size = k + size, 2 * size
 
     desc = f"case2:P={format_poly(P)},Q={format_poly(Q)}"

@@ -273,6 +273,8 @@ def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None)
     """
     if not isinstance(ts, np.ndarray) or ts.dtype != np.int64:
         ts = np.array(ts, dtype=object)  # np.asarray turns ints past 2^63 into floats
+        if ts.size and -(1 << 63) <= ts.min() and ts.max() < 1 << 63:
+            ts = ts.astype(np.int64)
     if hi is None:
         hi, top = max(lo, 1), max(ts.tolist(), default=n)
         while n + P(hi) < top:
@@ -410,7 +412,9 @@ def _a_star_cached(p_coeffs: tuple[int, ...], q_coeffs: tuple[int, ...]) -> int:
 def a_star(P: IntPolynomial, Q: IntPolynomial) -> int:
     """Smallest integer a with Q > P >= 1 and Q' > P' >= 1 on all of (a, oo).
 
-    Decided exactly: real-root counting on the open interval plus a sign probe.
+    The least a >= 1 past which every condition is root-free, found by
+    bisection with the Sturm count; positive leads make that equivalent to
+    positivity.
     For P == Q the dominance conditions are dropped (psi is the identity).
     """
     return _a_star_cached(P.coeffs, Q.coeffs)

@@ -85,6 +85,16 @@ def test_color_json_document():
     assert sum(length for _, length in doc["runs"]) == 100
 
 
+def test_color_case2_band_offset_past_int64():
+    # N0 = 10^20 + 1: the breakpoints and their arguments are Python ints
+    spec = "case2:P=n^2 - 100000000000000000000n,Q=n^2 - 99999999999999999999n"
+    code, out, err = _run("color", "--coloring", spec, "--N", "100", "--out", "json")
+    assert code == 0, err
+    doc = _validated(out)
+    assert doc["counts"] == [100, 0]
+    assert doc["runs"] == [[1, 100]]
+
+
 def test_color_kind_flags_equivalent(tmp_path):
     code1, out1, _ = _run(
         "color", "--kind", "power2", "--a", "1", "--b", "2", "--N", "64", "--out", "json"

@@ -752,6 +752,12 @@ _CASE2_BLOCK_PAIRS = (
     ("n^7", "n^7 + n^6", BandPart.PART_I),
     ("n^7", "n^7 + 7n^6 + 21n^5 + 35n^4 + 35n^3 + 21n^2 + 7n", BandPart.PART_II),
     ("n^7 - n", "n^7 + 7n^6 + 21n^5 + 35n^4 + 35n^3 + 21n^2 + 6n", BandPart.PART_III),
+    # N0 = 10^20 + 1, past 2^63: object arguments from the first block
+    ("n^2 - 100000000000000000000n", "n^2 - 99999999999999999999n", BandPart.PART_I),
+    # N0 = 2^62 - 100: int64 arguments in the first block, objects from k = 64
+    ("n^2 - 4611686018427387803n", "n^2 - 4611686018427387802n", BandPart.PART_I),
+    # N0 = 2^63 - 199: int64 arguments would wrap from k = 199 on
+    ("n^2 - 9223372036854775608n", "n^2 - 9223372036854775606n", BandPart.PART_III),
 )
 
 
@@ -762,6 +768,9 @@ _CASE2_BLOCK_PAIRS = (
 @example(which=6, count=1000, first=500)
 @example(which=7, count=1000, first=63)
 @example(which=0, count=1921, first=383)
+@example(which=8, count=200, first=70)
+@example(which=9, count=200, first=70)
+@example(which=10, count=500, first=250)
 def test_case2_blocks_match_scalar_generators(which, count, first):
     Pt, Qt, part = _CASE2_BLOCK_PAIRS[which]
     P, Q = parse_poly(Pt), parse_poly(Qt)

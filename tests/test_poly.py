@@ -518,6 +518,28 @@ def test_first_at_least_costs_the_chosen_dtype(monkeypatch, n, dense):
     assert sum(evaluated) <= 10**4
 
 
+def test_first_at_least_list_cuts_take_the_int64_path(monkeypatch):
+    # a list of cuts that fit int64 is costed and evaluated as int64; one cut
+    # past 2^63 sends the whole list to Python ints
+    P = parse_poly("2n^4")
+    dtypes = []
+    horner = poly._horner
+
+    def recording(P, xs, n, dtype):
+        dtypes.append(dtype)
+        return horner(P, xs, n, dtype)
+
+    monkeypatch.setattr(poly, "_horner", recording)
+    ms = list(range(200, 10**4, 205))
+    got = poly.first_at_least(P, 0, [P(m) for m in ms], 1, 10**4)
+    assert got.tolist() == ms
+    assert dtypes == [np.int64]
+    dtypes.clear()
+    got = poly.first_at_least(P, 0, [P(m) for m in ms] + [2**63], 1)
+    assert got.tolist() == ms + [poly.first_at_least(P, 0, np.array([2**63], dtype=object), 1)[0]]
+    assert set(dtypes) == {object}
+
+
 @pytest.mark.parametrize("text", ["n^2 - 40n", "n^3 - 5n^2", "5n^4 - n^2", "n", "2n^3 - 300n^2 + n"])
 def test_increasing_from_matches_brute_force(text):
     # each of these has P(m + 1) > P(m) for every m >= 1000
