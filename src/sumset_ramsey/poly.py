@@ -91,12 +91,15 @@ def _root_bound(coeffs: Sequence[int]) -> int:
     return 1 + (m + abs(lead) - 1) // abs(lead) + 1
 
 
-def _root_free_from(cs: Sequence[int]) -> int:
-    """Least integer a >= 0 with no real root of cs in (a, oo), by bisection."""
-    lo, hi = 0, _root_bound(cs)
+def _root_free_from(cs: Sequence[int], lo: int = 0, b: int | None = None) -> int:
+    """Least integer a >= lo with no real root of cs in (a, b), by bisection.
+
+    An omitted b stands for oo; a given b must be at least lo.
+    """
+    hi = _root_bound(cs) if b is None else b
     while lo < hi:
         mid = (lo + hi) // 2
-        if _open_interval_root_free(cs, mid):
+        if _open_interval_root_free(cs, mid, b):
             hi = mid
         else:
             lo = mid + 1
@@ -107,8 +110,11 @@ def _positive_from(coeffs: Sequence[int], allow_zero: bool) -> int | None:
     """Smallest integer v >= 1 with coeffs(n) > 0 (or >= 0) for every int n >= v.
 
     Exact for integer arguments: past ``_root_free_from`` the sign is the
-    lead's; from there integers are checked downward until the first one that
-    fails.  Returns None when no such v exists.
+    lead's.  From there it walks down: check the integer n, bisect for the
+    least b with no root in (b, n), check n - 1 for the root-free integers
+    b + 1 .. n - 1 (they share its sign), and go on from b.  Each stretch ends
+    at a root, so there are at most deg + 1 of them.  Returns None when no
+    such v exists.
     """
     cs = _trim(list(coeffs))
     if not cs:
@@ -118,10 +124,19 @@ def _positive_from(coeffs: Sequence[int], allow_zero: bool) -> int | None:
         return 1 if ok else None
     if cs[-1] < 0:
         return None
-    for n in range(max(_root_free_from(cs), 1), 0, -1):
+
+    def fails(n: int) -> bool:
         val = _eval_coeffs(cs, n)
-        if val < 0 or (val == 0 and not allow_zero):
+        return val < 0 or (val == 0 and not allow_zero)
+
+    n = max(_root_free_from(cs), 1)
+    while n >= 1:
+        if fails(n):
             return n + 1
+        b = _root_free_from(cs, 1, n)
+        if b < n - 1 and fails(n - 1):
+            return n
+        n = min(b, n - 1)
     return 1
 
 
@@ -358,21 +373,23 @@ def _sign_changes(values: Sequence[int]) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _open_interval_root_free(coeffs: Sequence[int], a: int) -> bool:
-    """True when the polynomial has no real root in the open interval (a, oo).
+def _open_interval_root_free(coeffs: Sequence[int], a: int, b: int | None = None) -> bool:
+    """True when the polynomial has no real root in the open interval (a, b).
 
-    Exact: roots sitting at a are divided out first, then Sturm's theorem
-    counts the distinct roots in (a, oo) as V(a) - V(oo) sign changes.
+    An omitted b stands for oo.  Exact: roots sitting at a or b are divided
+    out first, then Sturm's theorem counts the distinct roots in (a, b) as
+    V(a) - V(b) sign changes.
     """
     cs = _trim(list(coeffs))
-    while len(cs) > 1 and _eval_coeffs(cs, a) == 0:
-        # synthetic division by (n - a); the remainder is cs(a) = 0
-        quot = [0] * (len(cs) - 1)
-        acc = 0
-        for k in range(len(cs) - 1, 0, -1):
-            acc = acc * a + cs[k]
-            quot[k - 1] = acc
-        cs = quot
+    for end in (a,) if b is None else (a, b):
+        while len(cs) > 1 and _eval_coeffs(cs, end) == 0:
+            # synthetic division by (n - end); the remainder is cs(end) = 0
+            quot = [0] * (len(cs) - 1)
+            acc = 0
+            for k in range(len(cs) - 1, 0, -1):
+                acc = acc * end + cs[k]
+                quot[k - 1] = acc
+            cs = quot
     if len(cs) <= 1:
         return True
     seq = [cs, _derive(cs)]
@@ -382,8 +399,8 @@ def _open_interval_root_free(coeffs: Sequence[int], a: int) -> bool:
             break
         seq.append(rem)
     at_a = _sign_changes([_eval_coeffs(p, a) for p in seq])
-    at_inf = _sign_changes([p[-1] for p in seq])
-    return at_a == at_inf
+    at_b = _sign_changes([p[-1] if b is None else _eval_coeffs(p, b) for p in seq])
+    return at_a == at_b
 
 
 @lru_cache(maxsize=256)

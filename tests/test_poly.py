@@ -437,6 +437,76 @@ def test_positive_from_starts_at_the_largest_root():
     assert poly._positive_from([1 - 10**20, 3, 3], False) == 5773502692
 
 
+def _close_roots(K, a, b):
+    # (10n - (10K + a)) (10n - (10K + b)): roots K + a/10 and K + b/10
+    return _times([-(10 * K + a), 10], [-(10 * K + b), 10])
+
+
+def test_positive_from_skips_root_pairs_between_integers():
+    # both roots lie between K and K + 1, so every integer is positive; a
+    # downward scan would visit all K = 10^9 integers below them
+    K = 10**9
+    assert poly._positive_from(_close_roots(K, 3, 6), False) == 1
+    # the integer K + 1 between the roots is negative
+    assert poly._positive_from(_close_roots(K, 3, 16), False) == K + 2
+    # a double root at K + 1: zero there, positive elsewhere
+    assert poly._positive_from(_close_roots(K, 10, 10), True) == 1
+    assert poly._positive_from(_close_roots(K, 10, 10), False) == K + 2
+
+
+def _positive_from_downward(cs, allow_zero):
+    # the plain downward scan: every integer from the largest root down to 1
+    cs = poly._trim(list(cs))
+    if not cs:
+        return 1 if allow_zero else None
+    if len(cs) == 1:
+        return 1 if cs[0] > 0 or (allow_zero and cs[0] == 0) else None
+    if cs[-1] < 0:
+        return None
+    for n in range(max(poly._root_free_from(cs), 1), 0, -1):
+        val = poly._eval_coeffs(cs, n)
+        if val < 0 or (val == 0 and not allow_zero):
+            return n + 1
+    return 1
+
+
+def _from_factors(lead, factors):
+    cs = [lead]
+    for d, a in factors:
+        cs = _times(cs, [-a, d])
+    return cs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cs=st.one_of(
+        st.lists(st.integers(-60, 60), max_size=6),
+        # lead * prod (d n - a): rational roots, some of them close together
+        st.builds(
+            _from_factors,
+            st.integers(-2, 3),
+            st.lists(st.tuples(st.sampled_from([1, 2, 3, 10]), st.integers(-20, 300)), max_size=4),
+        ),
+    ),
+    allow_zero=st.booleans(),
+)
+def test_positive_from_matches_downward_scan(cs, allow_zero):
+    assert poly._positive_from(cs, allow_zero) == _positive_from_downward(cs, allow_zero)
+
+
+@given(
+    a=st.integers(-5, 20),
+    width=st.integers(0, 20),
+    roots=st.lists(st.integers(-10, 30), max_size=4),
+    lead=st.sampled_from([-3, -1, 1, 2]),
+)
+def test_open_interval_root_free_between_known_roots(a, width, roots, lead):
+    # roots at either end lie outside (a, b)
+    b = a + width
+    cs = _from_factors(lead, [(1, r) for r in roots + [a, b]])
+    assert _open_interval_root_free(cs, a, b) == all(not a < r < b for r in roots)
+
+
 def test_band_offset_with_a_huge_root_bound():
     P, Q = parse_poly(f"n^2 + {10**30}n"), parse_poly(f"n^2 + {10**30 + 1}n")
     assert band_offset(P, Q) == BandOffset(l=1, n0=1, part=BandPart.PART_I)
