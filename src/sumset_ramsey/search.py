@@ -5,10 +5,16 @@ k in C, P in the polynomial list, landing in one fixed color class.  The core
 object is the survivor bit-vector, packed in uint64 words: positions b that
 still satisfy all constraints imposed by the current C.  One scorer serves
 both searches, scoring a block of candidates per numpy call from a table of
-eight bit-offset copies of the color mask.  Greedy growth of C switches to a
-packed survivor-by-candidate bit matrix once few survivors remain, which makes
-late steps nearly free; the exhaustive search scores all extensions of each
-prefix of C at once.
+eight bit-offset copies of the color mask.
+
+Greedy growth of C is lazy (Minoux's accelerated greedy): adding a candidate
+to a larger C never keeps more survivors, so a count once scored bounds every
+later one, and a step re-scores candidates in order of their bounds only
+until no bound left can win.  Once the survivors number at most
+max(64, words / 8), each candidate's effect on them goes into one packed
+survivor matrix, ceil(S / 64) words per candidate, and the later steps scan
+that instead of the window.  The exhaustive search scores all extensions of
+each prefix of C at once.
 
 Also here: bad-set enumeration with stabilization reports, a longest-AP
 dynamic program, and the log-space Gowers density threshold.  Every value
@@ -123,36 +129,49 @@ def survivor_set(w: ColorWindow, polys: Sequence[IntPolynomial], C: Iterable[int
     return v & _full_mask(w.n)
 
 
-def _candidates(w: ColorWindow, polys: Sequence[IntPolynomial]) -> np.ndarray:
-    """All c >= 1 with max_P P(c) <= N, ascending."""
+def _candidates(w: ColorWindow, polys: Sequence[IntPolynomial], cap: int | None = None) -> np.ndarray:
+    """All c >= 1 with max_P P(c) <= N, ascending; under a cap, every step-th.
+
+    Past m0, the largest increasing_from(P), every P increases, so the
+    candidates from m0 on are the interval [m0, top), top being the least m
+    at which some P passes N.  Only the head below m0 is checked value by
+    value.  A cap smaller than the count L keeps the candidates at indices
+    0, s, 2s, ... for s = ceil(L / cap), found by index arithmetic.
+    """
+    m0 = max(increasing_from(P) for P in polys)
     # past its first m on the increasing branch with P(m) > N, P stays above N
     top = min(int(first_at_least(P, 0, np.array([w.n + 1]), increasing_from(P))[0]) for P in polys)
-    cs = np.arange(1, top, dtype=np.int64)
-    keep = np.ones(cs.shape[0], dtype=bool)
+    head = np.arange(1, min(m0, top), dtype=np.int64)
     for P in polys:
-        keep &= values(P, cs) <= w.n
-    return cs[keep]
+        head = head[values(P, head) <= w.n]
+    total = head.shape[0] + max(0, top - m0)
+    step = -(-total // cap) if cap is not None and total > cap else 1
+    # the first kept index past the head, as an offset into the interval
+    skip = -(-head.shape[0] // step) * step - head.shape[0]
+    return np.concatenate((head[::step], np.arange(m0 + skip, top, step, dtype=np.int64)))
 
-
-_GATHER_THRESHOLD = 64
 
 # bytes of shifted masks gathered per numpy call, per polynomial; small enough
 # for a block to stay in cache
 _BLOCK_BYTES = 1 << 18
 
+# positions gathered per numpy call while building the survivor matrix: one
+# word of 64 survivors against 1024 pool candidates
+_MATRIX_ENTRIES = 1 << 16
+
 
 def _pool_shifts(w: ColorWindow, polys: Sequence[IntPolynomial], pool: np.ndarray) -> list[np.ndarray]:
     """P(c) for every pool candidate c, one int64 array per polynomial."""
     # shifts beyond the window clip to n+1: the shifted mask comes out empty
-    # either way, and clipped values index the dead padding in phase B
+    # either way, and clipped values index the dead padding of the matrix build
     return [np.clip(values(P, pool), -(w.n + 1), w.n + 1).astype(np.int64) for P in polys]
 
 
-def _lowest_set(words: np.ndarray, r: int) -> tuple[int, ...]:
-    """Positions of the r lowest set bits of packed words, ascending."""
+def _lowest_set(words: np.ndarray, r: int | None = None) -> np.ndarray:
+    """Positions of the r lowest set bits of packed words (all when r is None), ascending."""
     nz = np.flatnonzero(words)[:r]
     word, bit = np.nonzero(np.unpackbits(words[nz].view(np.uint8), bitorder="little").reshape(-1, 64))
-    return tuple((64 * nz[word] + bit)[:r].tolist())
+    return (64 * nz[word] + bit)[:r]
 
 
 class _Scorer:
@@ -187,21 +206,73 @@ class _Scorer:
         full[: (w.n >> 3) + 1] = np.packbits(w.colors > 0, bitorder="little")
         self.full = full.view(np.uint64)
 
-    def survivors_with(self, vw: np.ndarray, rows: slice) -> np.ndarray:
-        """Survivor words vw after adding each pool candidate in `rows`, one row each."""
+    def survivors_with(self, vw: np.ndarray, rows) -> np.ndarray:
+        """Survivor words vw after adding each pool candidate in `rows`, one row each.
+
+        rows is a slice of the pool or an array of pool indices.
+        """
         acc = vw
         for row, off in self._shifts:
             words = self._windows[row[rows], off[rows]].view(np.uint64)
             acc = np.bitwise_and(words, acc, out=words)
         return acc
 
-    def counts(self, vw: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Survivor counts after adding each pool candidate in [start, stop)."""
-        out = np.empty(stop - start, dtype=np.int64)
-        for b in range(start, stop, self._block):
-            rows = slice(b, min(b + self._block, stop))
-            out[b - start : rows.stop - start] = np.bitwise_count(self.survivors_with(vw, rows)).sum(axis=1)
+    def counts(self, vw: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Survivor counts after adding each pool candidate of the index array rows."""
+        out = np.empty(rows.shape[0], dtype=np.int64)
+        for b in range(0, rows.shape[0], self._block):
+            part = rows[b : b + self._block]
+            out[b : b + part.shape[0]] = np.bitwise_count(self.survivors_with(vw, part)).sum(axis=1)
         return out
+
+
+def _lazy_argmax(scorer: _Scorer, vw: np.ndarray, bound: np.ndarray, r: int) -> tuple[int, int]:
+    """First pool index with the most survivors after it is added, and that count.
+
+    bound[j] is at least candidate j's count.  Candidates are scored in order
+    of (-bound, index), in blocks of 8 that double, until no bound left can
+    beat the best count found or tie it at a smaller index; the counts found
+    replace their bounds.  A count below r never wins: (-1, r - 1) when
+    nothing reaches r.
+    """
+    # picked candidates carry bound -1, and no bound below r can win
+    live = np.flatnonzero(bound >= r)
+    order = live[np.argsort(-bound[live], kind="stable")]
+    best, pick = r - 1, -1
+    start, size = 0, 8
+    while start < order.shape[0]:
+        j = int(order[start])
+        if bound[j] < best or (bound[j] == best and j > pick):
+            break
+        rows = order[start : start + size]
+        fresh = scorer.counts(vw, rows)
+        bound[rows] = fresh
+        top = int(fresh.max())
+        j = int(rows[fresh == top].min())
+        if top > best or (top == best and j < pick):
+            best, pick = top, j
+        start, size = start + size, 2 * size
+    return pick, best
+
+
+def _survivor_matrix(w: ColorWindow, color: int, pvals: list[np.ndarray], surv: np.ndarray) -> np.ndarray:
+    """Packed words per pool candidate: bit i set when survivor surv[i] stays after adding it."""
+    # clipped positions land on 0 or n + 1, neither of which has a color
+    ok = np.zeros(w.n + 2, dtype=bool)
+    np.equal(w.colors, color, out=ok[: w.n + 1])
+    npool = pvals[0].shape[0]
+    out = np.zeros((npool, 8 * -(-surv.shape[0] // 64)), dtype=np.uint8)
+    rows = _MATRIX_ENTRIES // 64
+    for s in range(0, surv.shape[0], 64):
+        part = surv[s : s + 64]
+        for lo in range(0, npool, rows):
+            keep = np.ones((min(rows, npool - lo), part.shape[0]), dtype=bool)
+            for pv in pvals:
+                pos = np.add.outer(pv[lo : lo + rows], part)
+                keep &= ok[np.clip(pos, 0, w.n + 1, out=pos)]
+            bits = np.packbits(keep, axis=1, bitorder="little")
+            out[lo : lo + rows, s // 8 : s // 8 + bits.shape[1]] = bits
+    return out.view(np.uint64)
 
 
 def _greedy_one_color(
@@ -209,56 +280,44 @@ def _greedy_one_color(
 ) -> tuple[list[int], int, tuple[int, ...]] | None:
     """Greedy C growth for one color: (C, survivor count, B)."""
     scorer = _Scorer(w, color, pvals)
+    # survivor words: bit b is position b, or bit i is surv[i] once surv is set
     vw = scorer.full
     vcount = w.n
+    # a count under a smaller C bounds the count under a larger one
+    bound = np.full(pool.shape[0], w.n, dtype=np.int64)
     picked: list[int] = []  # pool indices, in pick order
-    cols: np.ndarray | None = None
     surv: np.ndarray | None = None
-    vmask = 0
 
     while len(picked) < maxC:
-        if vcount > _GATHER_THRESHOLD:
-            # phase A: survivor counts of a block of candidates per numpy call
-            counts = scorer.counts(vw, 0, pool.shape[0])
-            counts[picked] = 0
-            pick = int(counts.argmax())
-            if counts[pick] < r:
-                break
-            picked.append(pick)
-            vw = scorer.survivors_with(vw, slice(pick, pick + 1))[0]
-            vcount = int(counts[pick])
-            continue
-
-        # phase B: packed survivor-by-candidate matrix, scans every candidate
+        if surv is None and vcount <= max(64, vw.shape[0] // 8):
+            # phase B: a step scans ceil(S / 64) words per candidate; a
+            # survivor's matrix row costs about as much as 8 words of scan
+            surv = _lowest_set(vw)
+            mat = _survivor_matrix(w, color, pvals, surv)
+            mat[picked] = 0
+            vw = np.packbits(np.arange(mat.shape[1] * 64) < surv.shape[0], bitorder="little").view(np.uint64)
         if surv is None:
-            surv = np.flatnonzero(np.unpackbits(vw.view(np.uint8), bitorder="little"))
-            vmask = (1 << surv.shape[0]) - 1
-            okpad = np.zeros(2 * w.n + 2, dtype=bool)
-            okpad[: w.n + 1] = w.colors == color
-            cols = np.zeros(pool.shape[0], dtype=np.uint64)
-            for i, b in enumerate(surv.tolist()):
-                acc = np.ones(pool.shape[0], dtype=bool)
-                for pv in pvals:
-                    acc &= okpad[np.clip(b + pv, 0, 2 * w.n + 1)]
-                cols |= acc.astype(np.uint64) << np.uint64(i)
-            cols[picked] = 0
-        counts = np.bitwise_count(cols & np.uint64(vmask))
-        best = int(counts.max())
-        if best < r:
-            break
-        pick = int(np.nonzero(counts == best)[0][0])
+            # phase A: lazy rescoring of the window-wide survivor words
+            pick, count = _lazy_argmax(scorer, vw, bound, r)
+            if pick < 0:
+                break
+            bound[pick] = -1
+            vw = scorer.survivors_with(vw, slice(pick, pick + 1))[0]
+        else:
+            counts = np.bitwise_count(mat & vw).sum(axis=1)
+            pick = int(counts.argmax())
+            count = int(counts[pick])
+            if count < r:
+                break
+            vw = vw & mat[pick]
+            mat[pick] = 0
         picked.append(pick)
-        vmask &= int(cols[pick])
-        cols[pick] = 0
-        vcount = best
+        vcount = count
 
     if not picked:
         return None
-    if surv is None:
-        B = _lowest_set(vw, r)
-    else:
-        B = tuple(b for i, b in enumerate(surv.tolist()) if vmask >> i & 1)[:r]
-    return pool[picked].tolist(), vcount, B
+    B = _lowest_set(vw, r)
+    return pool[picked].tolist(), vcount, tuple((B if surv is None else surv[B]).tolist())
 
 
 def greedy_search(
@@ -272,16 +331,22 @@ def greedy_search(
 
     Each step adds the candidate maximizing the survivor population, ties to
     the smallest candidate; across colors the largest |C| wins, then the
-    larger survivor count, then the smaller color.  candidate_cap subsamples
-    the scanned candidates evenly while survivors are plentiful (the exact
-    matrix phase always scans all of them).
+    larger survivor count, then the smaller color.  candidate_cap keeps
+    every ceil(L / cap)-th of the L candidates.
+
+    The result is that of scoring every candidate at every step, found with
+    less work.  Phase A scores on the window's survivor words, lazily: the
+    first step scores every candidate, and later steps re-score in order of
+    the last count found, in blocks of 8 that double, stopping once the next
+    bound is below the best fresh count or equal to it at a later candidate.
+    With S survivors left, S <= max(64, words / 8), phase B builds a
+    candidate-by-survivor bit matrix once and scans its ceil(S / 64) words
+    per candidate at each step.
     """
     if r < 1 or maxC < 1:
         raise DomainError("r and maxC must be positive")
     polys = tuple(polys)
-    pool = _candidates(w, polys)
-    if candidate_cap is not None and pool.shape[0] > candidate_cap:
-        pool = pool[:: -(-pool.shape[0] // candidate_cap)]
+    pool = _candidates(w, polys, candidate_cap)
     found = []  # ((|C|, survivors, -color), color, (C, survivors, B)) per color
     if pool.shape[0]:
         pvals = _pool_shifts(w, polys, pool)
@@ -323,7 +388,7 @@ def exhaustive_search(
         nonlocal best_count, best
         start = chosen[-1] + 1 if chosen else 0
         # leave room for the candidates still to come
-        counts = scorer.counts(vw, start, cand.shape[0] - (sizeC - len(chosen) - 1))
+        counts = scorer.counts(vw, np.arange(start, cand.shape[0] - (sizeC - len(chosen) - 1)))
         if len(chosen) == sizeC - 1:
             pick = int(counts.argmax())
             if counts[pick] > best_count:
@@ -343,7 +408,7 @@ def exhaustive_search(
         return None
     color, chosen, vw = best
     return Configuration(
-        B=_lowest_set(vw, r), C=tuple(cand[chosen].tolist()), polys=polys, color=color,
+        B=tuple(_lowest_set(vw, r).tolist()), C=tuple(cand[chosen].tolist()), polys=polys, color=color,
         survivors=best_count, strategy="exhaustive",
     )
 

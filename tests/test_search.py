@@ -170,15 +170,16 @@ ORACLE_POLYS = {
 }
 
 
-def _greedy_reference(w, polys, r, maxC, cap):
+def _greedy_reference(w, polys, r, maxC, cap, steps=None):
     # one survivor_set per (step, candidate): the first candidate with the
     # largest survivor count wins, a step needs at least r survivors; across
-    # colors the key is (|C|, survivors, -color)
+    # colors the key is (|C|, survivors, -color).  steps, when given, gets
+    # each color's survivor counts after each pick.
     cand = _candidates(w, polys).tolist()
     pool = cand if cap is None or not cand else cand[:: math.ceil(len(cand) / cap)]
     best = None
     for color in range(1, w.palette + 1):
-        chosen, count, mask = [], 0, 0
+        chosen, count, mask, trail = [], 0, 0, []
         while len(chosen) < maxC:
             pick = None
             for c in pool:
@@ -190,6 +191,9 @@ def _greedy_reference(w, polys, r, maxC, cap):
             if pick is None:
                 break
             chosen.append(pick)
+            trail.append(count)
+        if steps is not None:
+            steps.append(trail)
         if chosen and (best is None or (len(chosen), count, -color) > best[0]):
             best = ((len(chosen), count, -color), chosen, mask, color)
     if best is None:
@@ -271,6 +275,83 @@ GREEDY_PINNED = {
 }
 
 
+def test_greedy_matrix_phase_with_many_survivors(monkeypatch):
+    # at N = 2^18 phase A hands over at 512 survivors or fewer, so a random
+    # coloring reaches the survivor matrix with more than 64 survivors
+    n = 1 << 18
+    switch = max(64, (n + 64) // 64 // 8)
+    wide = False
+    built = []
+    matrix = search_module._survivor_matrix
+
+    def spy(w, color, pvals, surv):
+        built.append(surv.shape[0])
+        return matrix(w, color, pvals, surv)
+
+    monkeypatch.setattr(search_module, "_survivor_matrix", spy)
+    for spec in ("random:k=2,seed=1", "random:k=2,seed=2", "random:k=3,seed=3", "periodic:1121", "periodic:1211211"):
+        w = parse_coloring_spec(spec).window(n)
+        for cap in (16, 32):
+            steps = []
+            assert greedy_search(w, LIN, 3, 12, candidate_cap=cap) == _greedy_reference(w, LIN, 3, 12, cap, steps)
+            for counts in steps:
+                first = next((k for k, v in enumerate(counts) if v <= switch), None)
+                # the matrix is built when another pick is still allowed
+                wide |= first is not None and first + 1 < 12 and counts[first] > 64
+    assert wide
+    assert max(built) > 64
+
+
+def test_greedy_rescores_an_equal_bound_at_a_smaller_index(monkeypatch):
+    # periodic colorings tie everywhere: at some step a candidate before the
+    # winner in pool order holds a stale bound equal to the winning count, so
+    # the lazy scan must score it rather than stop at the equal bound
+    seen = []
+    lazy = search_module._lazy_argmax
+
+    def spy(scorer, vw, bound, r):
+        stale = bound.copy()
+        pick, best = lazy(scorer, vw, bound, r)
+        seen.append(pick >= 0 and bool((stale[:pick] == best).any()))
+        return pick, best
+
+    monkeypatch.setattr(search_module, "_lazy_argmax", spy)
+    w = window(custom_coloring("periodic", pattern="11112"), 1000)
+    assert greedy_search(w, LIN, 3, 5, candidate_cap=16) == _greedy_reference(w, LIN, 3, 5, 16)
+    assert any(seen)
+
+
+class _FixedCounts:
+    # a scorer whose fresh counts are given per pool index
+    def __init__(self, fresh):
+        self.fresh = np.array(fresh, dtype=np.int64)
+        self.scored = []
+
+    def counts(self, vw, rows):
+        self.scored += rows.tolist()
+        return self.fresh[rows]
+
+
+def test_lazy_argmax_scores_an_equal_bound_at_a_smaller_index():
+    # the first block (indices 1-8, bound 10) finds count 6 at index 5; index
+    # 0 comes next with bound 6 and keeps its 6, so it wins the tie
+    bound = np.array([6] + [10] * 8 + [2, -1], dtype=np.int64)
+    scorer = _FixedCounts([6, 3, 3, 3, 3, 6, 3, 3, 3, 2, 0])
+    assert search_module._lazy_argmax(scorer, None, bound, 2) == (0, 6)
+    assert sorted(scorer.scored) == list(range(10))
+    assert bound.tolist() == [6, 3, 3, 3, 3, 6, 3, 3, 3, 2, -1]
+    # an equal bound at a larger index is never scored
+    bound = np.array([10] * 8 + [6, 6], dtype=np.int64)
+    scorer = _FixedCounts([3, 3, 6, 3, 3, 3, 3, 3, 6, 6])
+    assert search_module._lazy_argmax(scorer, None, bound, 1) == (2, 6)
+    assert sorted(scorer.scored) == list(range(8))
+    # nothing reaches r: no bound below r is scored
+    bound = np.array([4, 2, 3], dtype=np.int64)
+    scorer = _FixedCounts([2, 2, 2])
+    assert search_module._lazy_argmax(scorer, None, bound, 3) == (-1, 2)
+    assert sorted(scorer.scored) == [0, 2]
+
+
 @pytest.mark.parametrize("spec,n", sorted(GREEDY_PINNED))
 def test_greedy_output_pinned(spec, n):
     maxC, cap = (12, 2048) if n == 65536 else (8, None)
@@ -287,13 +368,17 @@ def test_candidates_match_brute_force(poly_text):
     slack = max(sum(abs(c) for c in P.coeffs) for P in polys)
     for n in range(1, 201):
         want = [c for c in range(1, n + slack + 1) if all(P(c) <= n for P in polys)]
-        assert _candidates(window(const, n), polys).tolist() == want
-    n = 10**6
-    cs = np.arange(1, n + slack + 1, dtype=np.int64)
-    keep = np.logical_and.reduce([P(cs) <= n for P in polys])
-    got = _candidates(window(const, n), polys)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, cs[keep])
+        for cap in (None, 7, 2048):
+            step = math.ceil(len(want) / cap) if cap is not None and len(want) > cap else 1
+            assert _candidates(window(const, n), polys, cap).tolist() == want[::step]
+    for n in (5000, 65536, 10**6):
+        cs = np.arange(1, n + slack + 1, dtype=np.int64)
+        want = cs[np.logical_and.reduce([P(cs) <= n for P in polys])]
+        for cap in (None, 7, 2048):
+            step = math.ceil(want.shape[0] / cap) if cap is not None and want.shape[0] > cap else 1
+            got = _candidates(window(const, n), polys, cap)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want[::step])
 
 
 def test_exhaustive_search_fixed():
