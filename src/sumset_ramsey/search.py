@@ -217,12 +217,17 @@ class _Scorer:
             acc = np.bitwise_and(words, acc, out=words)
         return acc
 
-    def counts(self, vw: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Survivor counts after adding each pool candidate of the index array rows."""
-        out = np.empty(rows.shape[0], dtype=np.int64)
-        for b in range(0, rows.shape[0], self._block):
-            part = rows[b : b + self._block]
-            out[b : b + part.shape[0]] = np.bitwise_count(self.survivors_with(vw, part)).sum(axis=1)
+    def counts(self, vw: np.ndarray, start: int, stop: int, order: np.ndarray | None = None) -> np.ndarray:
+        """Survivor counts after adding each pool candidate in [start, stop).
+
+        With an index array `order`, the candidates are order[start:stop]
+        instead.
+        """
+        out = np.empty(stop - start, dtype=np.int64)
+        for b in range(start, stop, self._block):
+            rows = slice(b, min(b + self._block, stop))
+            words = self.survivors_with(vw, rows if order is None else order[rows])
+            out[b - start : rows.stop - start] = np.bitwise_count(words).sum(axis=1)
         return out
 
 
@@ -244,14 +249,15 @@ def _lazy_argmax(scorer: _Scorer, vw: np.ndarray, bound: np.ndarray, r: int) -> 
         j = int(order[start])
         if bound[j] < best or (bound[j] == best and j > pick):
             break
-        rows = order[start : start + size]
-        fresh = scorer.counts(vw, rows)
+        stop = min(start + size, order.shape[0])
+        rows = order[start:stop]
+        fresh = scorer.counts(vw, start, stop, order)
         bound[rows] = fresh
         top = int(fresh.max())
         j = int(rows[fresh == top].min())
         if top > best or (top == best and j < pick):
             best, pick = top, j
-        start, size = start + size, 2 * size
+        start, size = stop, 2 * size
     return pick, best
 
 
@@ -388,7 +394,7 @@ def exhaustive_search(
         nonlocal best_count, best
         start = chosen[-1] + 1 if chosen else 0
         # leave room for the candidates still to come
-        counts = scorer.counts(vw, np.arange(start, cand.shape[0] - (sizeC - len(chosen) - 1)))
+        counts = scorer.counts(vw, start, cand.shape[0] - (sizeC - len(chosen) - 1))
         if len(chosen) == sizeC - 1:
             pick = int(counts.argmax())
             if counts[pick] > best_count:

@@ -256,22 +256,38 @@ def test_greedy_matches_reference(coloring, n, poly_text, r, maxC, cap):
 # step), polys n,2n and r = 3: (color, C, B, survivors).  N = 2^16 runs the
 # capped criterion-6 shape (maxC 12, cap 2048), N = 5000 the uncapped maxC 8.
 GREEDY_PINNED = {
-    ("power2:1,2", 65536): (2, (1, 17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 177), (511, 512, 513), 42108),
-    ("triple:1,2,3", 65536): (2, (1, 17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 177), (610, 611, 612), 41341),
-    ("case2:P=n^2,Q=n^2 + n", 65536): (1, (1, 17, 33, 49, 65, 465, 481, 497, 513, 529, 961, 977), (46439, 46440, 46441), 2386),
-    ("case2:P=n^2,Q=n^2 + 2n", 65536): (1, (1, 17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 977), (37247, 37248, 38023), 3365),
-    ("case2:P=n^3 - n,Q=n^3 + 3n^2 + 2n", 65536): (2, (1, 17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 177), (1319, 1320, 1321), 27315),
-    ("recursive:P=n^2,Q=n^3,a0=15,window=65536", 65536): (1, (1, 17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 177), (58, 59, 60), 55897),
-    ("random:k=2,seed=5", 65536): (2, (1, 129, 433, 1393, 2017, 2625, 2753, 2993, 4161, 6097, 8993, 13793), (2214, 3003, 5308), 5),
-    ("random:k=3,seed=8", 65536): (2, (33, 49, 337, 481, 641, 2721, 2785), (26493, 38793, 57099), 3),
-    ("power2:1,2", 5000): (2, (1, 2, 3, 4, 5, 6, 7, 8), (31, 32, 33), 2660),
-    ("triple:1,2,3", 5000): (1, (1, 2, 3, 4, 5, 6, 7, 8), (39, 40, 41), 2668),
-    ("case2:P=n^2,Q=n^2 + n", 5000): (1, (1, 2, 3, 4, 5, 6, 7, 8), (239, 271, 272), 1556),
-    ("case2:P=n^2,Q=n^2 + 2n", 5000): (2, (1, 2, 3, 4, 5, 6, 7, 8), (62, 63, 98), 2009),
-    ("case2:P=n^3 - n,Q=n^3 + 3n^2 + 2n", 5000): (1, (1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3), 2548),
-    ("recursive:P=n^2,Q=n^3,a0=15,window=65536", 5000): (2, (1, 2, 3, 4, 5, 6, 7, 8), (14, 15, 16), 4572),
-    ("random:k=2,seed=5", 5000): (1, (11, 22, 44, 88, 110, 176, 220, 352), (46, 76, 164), 14),
-    ("random:k=3,seed=8", 5000): (2, (37, 74, 95, 148, 157, 168, 186, 296), (1248, 1684, 1802), 3),
+    ("power2:1,2", 65536):
+        (2, (1, 17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 177), (511, 512, 513), 42108),
+    ("triple:1,2,3", 65536):
+        (2, (1, 17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 177), (610, 611, 612), 41341),
+    ("case2:P=n^2,Q=n^2 + n", 65536):
+        (1, (1, 17, 33, 49, 65, 465, 481, 497, 513, 529, 961, 977), (46439, 46440, 46441), 2386),
+    ("case2:P=n^2,Q=n^2 + 2n", 65536):
+        (1, (1, 17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 977), (37247, 37248, 38023), 3365),
+    ("case2:P=n^3 - n,Q=n^3 + 3n^2 + 2n", 65536):
+        (2, (1, 17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 177), (1319, 1320, 1321), 27315),
+    ("recursive:P=n^2,Q=n^3,a0=15,window=65536", 65536):
+        (1, (1, 17, 33, 49, 65, 81, 97, 113, 129, 145, 161, 177), (58, 59, 60), 55897),
+    ("random:k=2,seed=5", 65536):
+        (2, (1, 129, 433, 1393, 2017, 2625, 2753, 2993, 4161, 6097, 8993, 13793), (2214, 3003, 5308), 5),
+    ("random:k=3,seed=8", 65536):
+        (2, (33, 49, 337, 481, 641, 2721, 2785), (26493, 38793, 57099), 3),
+    ("power2:1,2", 5000):
+        (2, (1, 2, 3, 4, 5, 6, 7, 8), (31, 32, 33), 2660),
+    ("triple:1,2,3", 5000):
+        (1, (1, 2, 3, 4, 5, 6, 7, 8), (39, 40, 41), 2668),
+    ("case2:P=n^2,Q=n^2 + n", 5000):
+        (1, (1, 2, 3, 4, 5, 6, 7, 8), (239, 271, 272), 1556),
+    ("case2:P=n^2,Q=n^2 + 2n", 5000):
+        (2, (1, 2, 3, 4, 5, 6, 7, 8), (62, 63, 98), 2009),
+    ("case2:P=n^3 - n,Q=n^3 + 3n^2 + 2n", 5000):
+        (1, (1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3), 2548),
+    ("recursive:P=n^2,Q=n^3,a0=15,window=65536", 5000):
+        (2, (1, 2, 3, 4, 5, 6, 7, 8), (14, 15, 16), 4572),
+    ("random:k=2,seed=5", 5000):
+        (1, (11, 22, 44, 88, 110, 176, 220, 352), (46, 76, 164), 14),
+    ("random:k=3,seed=8", 5000):
+        (2, (37, 74, 95, 148, 157, 168, 186, 296), (1248, 1684, 1802), 3),
 }
 
 
@@ -289,11 +305,13 @@ def test_greedy_matrix_phase_with_many_survivors(monkeypatch):
         return matrix(w, color, pvals, surv)
 
     monkeypatch.setattr(search_module, "_survivor_matrix", spy)
-    for spec in ("random:k=2,seed=1", "random:k=2,seed=2", "random:k=3,seed=3", "periodic:1121", "periodic:1211211"):
+    for spec in ("random:k=2,seed=1", "random:k=2,seed=2", "random:k=3,seed=3", "periodic:1121",
+                 "periodic:1211211"):
         w = parse_coloring_spec(spec).window(n)
         for cap in (16, 32):
             steps = []
-            assert greedy_search(w, LIN, 3, 12, candidate_cap=cap) == _greedy_reference(w, LIN, 3, 12, cap, steps)
+            want = _greedy_reference(w, LIN, 3, 12, cap, steps)
+            assert greedy_search(w, LIN, 3, 12, candidate_cap=cap) == want
             for counts in steps:
                 first = next((k for k, v in enumerate(counts) if v <= switch), None)
                 # the matrix is built when another pick is still allowed
@@ -327,7 +345,8 @@ class _FixedCounts:
         self.fresh = np.array(fresh, dtype=np.int64)
         self.scored = []
 
-    def counts(self, vw, rows):
+    def counts(self, vw, start, stop, order):
+        rows = order[start:stop]
         self.scored += rows.tolist()
         return self.fresh[rows]
 
