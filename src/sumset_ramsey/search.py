@@ -240,9 +240,9 @@ def _lazy_argmax(scorer: _Scorer, vw: np.ndarray, bound: np.ndarray, r: int) -> 
     replace their bounds.  A count below r never wins: (-1, r - 1) when
     nothing reaches r.
     """
-    # picked candidates carry bound -1, and no bound below r can win
-    live = np.flatnonzero(bound >= r)
-    order = live[np.argsort(-bound[live], kind="stable")]
+    # picked candidates carry bound -1, and no bound below r can win: both
+    # sort after every bound that can
+    order = np.argsort(-bound, kind="stable")[: np.count_nonzero(bound >= r)]
     best, pick = r - 1, -1
     start, size = 0, 8
     while start < order.shape[0]:
