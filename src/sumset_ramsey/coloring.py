@@ -22,6 +22,7 @@ are held in high-precision floats wide enough that integer rounding is stable.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from bisect import bisect_left, bisect_right
@@ -135,9 +136,10 @@ class Coloring:
 
     def colors_at(self, zs) -> np.ndarray:
         """Vector of colors; exact, default implementation loops the oracle."""
-        zs = np.asarray(zs)
-        out = np.empty(zs.shape[0], dtype=np.uint8)
-        for i, z in enumerate(zs.tolist()):
+        # a list mixing int64 positions with larger ones would turn into floats
+        zs = zs.tolist() if isinstance(zs, np.ndarray) else list(zs)
+        out = np.empty(len(zs), dtype=np.uint8)
+        for i, z in enumerate(zs):
             out[i] = self.color(int(z))
         return out
 
@@ -167,11 +169,41 @@ class Coloring:
 
 
 def _positions(zs) -> np.ndarray:
-    """zs as an array, rejecting positions below 1 as color() does."""
-    zs = np.asarray(zs)
+    """zs as an array, rejecting positions below 1 as color() does.
+
+    The array is int64 when every position fits it, and uint64 or object
+    otherwise.
+    """
+    if not isinstance(zs, np.ndarray):
+        try:
+            zs = np.array(zs, dtype=np.int64)
+        except OverflowError:
+            zs = np.array(zs, dtype=object)
     if zs.size and zs.min() < 1:
         raise DomainError("positions start at 1")
+    if zs.dtype != np.int64 and (zs.size == 0 or zs.max() <= _I64_MAX):
+        zs = zs.astype(np.int64)
     return zs
+
+
+def _int64_kernel(kernel: Callable[[Coloring, np.ndarray], np.ndarray]):
+    """A colors_at from a kernel over int64 positions >= 1.
+
+    Positions past int64 take the scalar loop of ``Coloring.colors_at``.
+    """
+
+    @functools.wraps(kernel)
+    def colors_at(self, zs) -> np.ndarray:
+        zs = _positions(zs)
+        if zs.dtype == np.int64:
+            return kernel(self, zs)
+        wide = zs > _I64_MAX
+        out = np.empty(zs.shape[0], dtype=np.uint8)
+        out[~wide] = kernel(self, zs[~wide].astype(np.int64))
+        out[wide] = Coloring.colors_at(self, zs[wide])
+        return out
+
+    return colors_at
 
 
 def window(coloring: Coloring, n: int) -> ColorWindow:
@@ -252,12 +284,10 @@ class BreakpointColoring(Coloring):
         self._extend(n)
         return int(self._table[self._rank(n)])
 
-    def colors_at(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=np.int64)
+    @_int64_kernel
+    def colors_at(self, zs: np.ndarray) -> np.ndarray:
         if zs.size == 0:
             return np.zeros(0, dtype=np.uint8)
-        if int(zs.min()) < 1:
-            raise DomainError("positions start at 1")
         self._extend(int(zs.max()))
         # every int64 z lies below the breakpoints of the tail
         return self._table[np.searchsorted(self._bp64, zs, side="right")]
@@ -467,8 +497,9 @@ class SeededRandomColoring(Coloring):
             raise DomainError(f"positions start at 1, got {n}")
         return _mix64(self._base + n) % self.palette + 1
 
-    def colors_at(self, zs) -> np.ndarray:
-        x = _positions(zs).astype(np.uint64) + np.uint64(self._base)
+    @_int64_kernel
+    def colors_at(self, zs: np.ndarray) -> np.ndarray:
+        x = zs.astype(np.uint64) + np.uint64(self._base)
         x = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_MUL1)
         x = (x ^ (x >> np.uint64(27))) * np.uint64(_SM_MUL2)
         x = x ^ (x >> np.uint64(31))
@@ -494,8 +525,8 @@ class PeriodicColoring(Coloring):
             raise DomainError(f"positions start at 1, got {n}")
         return self.pattern[(n - 1) % len(self.pattern)]
 
-    def colors_at(self, zs) -> np.ndarray:
-        zs = _positions(zs).astype(np.int64, copy=False)
+    @_int64_kernel
+    def colors_at(self, zs: np.ndarray) -> np.ndarray:
         return self._arr[(zs - 1) % len(self.pattern)]
 
 
@@ -519,8 +550,8 @@ class ExplicitColoring(Coloring):
             raise DomainError(f"positions start at 1, got {n}")
         return int(self.values[n - 1]) if n <= len(self.values) else 1
 
-    def colors_at(self, zs) -> np.ndarray:
-        zs = _positions(zs).astype(np.int64, copy=False)
+    @_int64_kernel
+    def colors_at(self, zs: np.ndarray) -> np.ndarray:
         out = np.ones(zs.shape[0], dtype=np.uint8)
         inside = zs <= len(self.values)
         out[inside] = self.values[zs[inside] - 1]
@@ -645,12 +676,17 @@ def check_admissible(P: IntPolynomial, Q: IntPolynomial, a0: int, grid: int = 10
             raise InadmissibleA0(f"a0 = {a0}: lam0 - eps0 = {lam_eff} must exceed 1")
         u = (lam_eff * (lam_eff - 1)) / (2 * lam0 * eps0 - eps0 * eps0)
 
-        # width growth: f(psi(t)) < (lam0 - eps0) f(t) for t > a0/2
+        # width growth: f(psi(t)) < (lam0 - eps0) f(t) for t > a0/2; the
+        # expansion inequality below reuses the grid's (t, f(t), psi(t), f(psi(t)))
         ta, tb = mpmath.mpf(a0) / 2, mpmath.mpf(4 * a0)
+        points = []
         for i in range(grid):
             t = ta + (tb - ta) * i / (grid - 1)
-            if not _f_ln(psi_eval(P, Q, t)) < lam_eff * _f_ln(t):
+            ft, psi_t = _f_ln(t), psi_eval(P, Q, t)
+            f_psi_t = _f_ln(psi_t)
+            if not f_psi_t < lam_eff * ft:
                 raise InadmissibleA0(f"a0 = {a0}: width growth fails at t = {t}")
+            points.append((t, ft, psi_t, f_psi_t))
 
         # jump bound
         lhs = psi_eval(P, Q, a0 - f_a0)
@@ -662,11 +698,7 @@ def check_admissible(P: IntPolynomial, Q: IntPolynomial, a0: int, grid: int = 10
             h_cap = lambda ft: ft / 2
         else:
             h_cap = lambda ft: (2 * cval - 2) / (3 * cval) * ft
-        for i in range(grid):
-            t = ta + (tb - ta) * i / (grid - 1)
-            ft = _f_ln(t)
-            psi_t = psi_eval(P, Q, t)
-            f_psi_t = _f_ln(psi_t)
+        for t, ft, psi_t, f_psi_t in points:
             for h in (mpmath.mpf(0), h_cap(ft) / 2, h_cap(ft)):
                 if not psi_eval(P, Q, t + ft - h) - psi_t > f_psi_t - h:
                     raise InadmissibleA0(f"a0 = {a0}: expansion inequality fails at t = {t}")

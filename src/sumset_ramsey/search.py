@@ -3,18 +3,20 @@
 The engine looks for pairs of sets (B, C) with every value h + P(k), h in B,
 k in C, P in the polynomial list, landing in one fixed color class.  The core
 object is the survivor bit-vector, packed in uint64 words: positions b that
-still satisfy all constraints imposed by the current C.  One scorer serves
-both searches, scoring a block of candidates per numpy call from a table of
-eight bit-offset copies of the color mask.
+still satisfy all constraints imposed by the current C.  A scorer holds the
+survivor words of one color and scores a block of pool candidates per numpy
+call.  The window scorer's words cover [1, N] and come from a table of eight
+bit-offset copies of the color mask; the matrix scorer's words cover a fixed
+list of S survivors, one packed row of ceil(S / 64) words per candidate.
 
-Greedy growth of C is lazy (Minoux's accelerated greedy): adding a candidate
-to a larger C never keeps more survivors, so a count once scored bounds every
-later one, and a step re-scores candidates in order of their bounds only
-until no bound left can win.  Once the survivors number at most
-max(64, words / 8), each candidate's effect on them goes into one packed
-survivor matrix, ceil(S / 64) words per candidate, and the later steps scan
-that instead of the window.  The exhaustive search scores all extensions of
-each prefix of C at once.
+Greedy growth of C is one loop over either scorer, lazy as in Minoux's
+accelerated greedy: adding a candidate to a larger C never keeps more
+survivors, so a count once scored bounds every later one, and a step
+re-scores candidates in order of their bounds only until no bound left can
+win.  A count is the same number on both scorers, so the bounds carry over
+when the matrix scorer replaces the window scorer, once the survivors number
+at most max(64, words / 8).  The exhaustive search scores all extensions of
+each prefix of C at once on the window scorer.
 
 Also here: bad-set enumeration with stabilization reports, a longest-AP
 dynamic program, and the log-space Gowers density threshold.  Every value
@@ -97,15 +99,9 @@ def verify_config(coloring: Coloring, cfg: Configuration) -> int | None:
     pts = cfg.points()
     if min(pts) < 1:
         return None
-    if max(pts) < (1 << 62):
-        cols = coloring.colors_at(np.array(pts, dtype=np.int64))
-        first = int(cols[0])
-        return first if (cols == first).all() else None
-    first = coloring.color(pts[0])
-    for p in pts[1:]:
-        if coloring.color(p) != first:
-            return None
-    return first
+    cols = coloring.colors_at(pts)
+    first = int(cols[0])
+    return first if (cols == first).all() else None
 
 
 def _full_mask(n: int) -> int:
@@ -174,48 +170,31 @@ def _lowest_set(words: np.ndarray, r: int | None = None) -> np.ndarray:
     return (64 * nz[word] + bit)[:r]
 
 
-class _Scorer:
-    """Survivor words of one color after adding pool candidates (bit b: position b).
+def _bit_range(lo: int, hi: int, nwords: int) -> np.ndarray:
+    """nwords packed words with bits lo, ..., hi - 1 set, for lo < hi."""
+    out = np.zeros(8 * nwords, dtype=np.uint8)
+    out[lo >> 3 : (hi + 7) >> 3] = 255
+    out[lo >> 3] &= (255 << (lo & 7)) & 255
+    if hi & 7:
+        out[hi >> 3] &= (1 << (hi & 7)) - 1
+    return out.view(np.uint64)
 
-    Row t of the shift table is the color mask after `front` zero bytes,
-    shifted right by t bits, so the mask shifted right by k bits is the window
-    of 8 * nwords bytes from byte front + (k >> 3) of row k & 7.  A candidate
-    costs one AND per polynomial.
+
+class _BlockScorer:
+    """Survivor words of one color and their counts after adding pool candidates.
+
+    A scorer gives `full`, the survivor words of the empty C;
+    `survivors_with(vw, rows)`, the words after adding each candidate in rows;
+    `lowest(vw, r)`, the window positions of the r lowest survivors; `first`,
+    the candidates in the first block of a lazy step; and `_block`, the
+    candidates per numpy call.
     """
 
-    def __init__(self, w: ColorWindow, color: int, pvals: list[np.ndarray]):
-        nwords = (w.n + 64) // 64
-        lo = min(0, min(int(pv.min()) for pv in pvals))
-        hi = max(0, max(int(pv.max()) for pv in pvals))
-        front = -(lo // 8)
-        nbytes = front + (hi >> 3) + 8 * nwords
-        # entry i holds padded mask bytes i and i + 1, so row t is entry i >> t
-        base = np.zeros(nbytes + 1, dtype=np.uint16)
-        base[front : front + (w.n >> 3) + 1] = np.packbits(w.colors == color, bitorder="little")
-        base[:-1] |= base[1:] << 8
-        table = np.empty((8, nbytes), dtype=np.uint8)
-        np.right_shift(base[:-1], np.arange(8, dtype=np.uint16)[:, None], out=table, casting="unsafe")
-        # a sliding window view: window k of row t is the 8 * nwords bytes from byte k
-        self._windows = np.ndarray(
-            (8, nbytes - 8 * nwords + 1, 8 * nwords), np.uint8, table, strides=(nbytes, 1, 1)
-        )
-        self._shifts = [(pv & 7, front + (pv >> 3)) for pv in pvals]
-        self._block = max(1, _BLOCK_BYTES // (8 * nwords))
-        # survivors of the empty C: every b in [1, N]
-        full = np.zeros(8 * nwords, dtype=np.uint8)
-        full[: (w.n >> 3) + 1] = np.packbits(w.colors > 0, bitorder="little")
-        self.full = full.view(np.uint64)
+    first: int
+    _block: int
 
     def survivors_with(self, vw: np.ndarray, rows) -> np.ndarray:
-        """Survivor words vw after adding each pool candidate in `rows`, one row each.
-
-        rows is a slice of the pool or an array of pool indices.
-        """
-        acc = vw
-        for row, off in self._shifts:
-            words = self._windows[row[rows], off[rows]].view(np.uint64)
-            acc = np.bitwise_and(words, acc, out=words)
-        return acc
+        raise NotImplementedError
 
     def counts(self, vw: np.ndarray, start: int, stop: int, order: np.ndarray | None = None) -> np.ndarray:
         """Survivor counts after adding each pool candidate in [start, stop).
@@ -231,20 +210,78 @@ class _Scorer:
         return out
 
 
-def _lazy_argmax(scorer: _Scorer, vw: np.ndarray, bound: np.ndarray, r: int) -> tuple[int, int]:
+class _Scorer(_BlockScorer):
+    """Survivor words over the window: bit b is position b.
+
+    Row t of the shift table is the color mask after `front` zero bytes,
+    shifted right by t bits, so the mask shifted right by k bits is the window
+    of 8 * nwords bytes from byte front + (k >> 3) of row k & 7.  A candidate
+    costs one AND per polynomial.  Lazy steps start with blocks of 8.
+    """
+
+    first = 8
+
+    def __init__(self, w: ColorWindow, color: int, pvals: list[np.ndarray]):
+        nwords = (w.n + 64) // 64
+        lo = min(0, min(int(pv.min()) for pv in pvals))
+        hi = max(0, max(int(pv.max()) for pv in pvals))
+        front = -(lo // 8)
+        nbytes = front + (hi >> 3) + 8 * nwords
+        # one full-size temporary at a time: the color test is packed before
+        # the table exists, and each row reuses one spill buffer
+        packed = np.packbits(w.colors == color, bitorder="little")
+        table = np.zeros((8, nbytes), dtype=np.uint8)
+        table[0, front : front + packed.shape[0]] = packed
+        del packed
+        # byte i of row t: bits t.. of byte i of row 0, then the low bits of byte i + 1
+        spill = np.empty(nbytes - 1, dtype=np.uint8)
+        for t in range(1, 8):
+            np.right_shift(table[0], t, out=table[t])
+            np.left_shift(table[0, 1:], 8 - t, out=spill)
+            table[t, :-1] |= spill
+        del spill
+        # a sliding window view: window k of row t is the 8 * nwords bytes from byte k
+        self._windows = np.ndarray(
+            (8, nbytes - 8 * nwords + 1, 8 * nwords), np.uint8, table, strides=(nbytes, 1, 1)
+        )
+        self._shifts = [(pv & 7, front + (pv >> 3)) for pv in pvals]
+        self._block = max(1, _BLOCK_BYTES // (8 * nwords))
+        # survivors of the empty C: every b in [1, N]
+        self.full = _bit_range(1, w.n + 1, nwords)
+
+    def survivors_with(self, vw: np.ndarray, rows) -> np.ndarray:
+        """Survivor words vw after adding each pool candidate in `rows`, one row each.
+
+        rows is a slice of the pool or an array of pool indices.
+        """
+        acc = vw
+        for row, off in self._shifts:
+            words = self._windows[row[rows], off[rows]].view(np.uint64)
+            acc = np.bitwise_and(words, acc, out=words)
+        return acc
+
+    def lowest(self, vw: np.ndarray, r: int | None = None) -> np.ndarray:
+        return _lowest_set(vw, r)
+
+
+def _lazy_argmax(scorer: _BlockScorer, vw: np.ndarray, bound: np.ndarray, r: int) -> tuple[int, int]:
     """First pool index with the most survivors after it is added, and that count.
 
     bound[j] is at least candidate j's count.  Candidates are scored in order
-    of (-bound, index), in blocks of 8 that double, until no bound left can
-    beat the best count found or tie it at a smaller index; the counts found
-    replace their bounds.  A count below r never wins: (-1, r - 1) when
-    nothing reaches r.
+    of (-bound, index), in blocks that start at scorer.first and double, until
+    no bound left can beat the best count found or tie it at a smaller index;
+    the counts found replace their bounds.  A count below r never wins:
+    (-1, r - 1) when nothing reaches r.
     """
-    # picked candidates carry bound -1, and no bound below r can win: both
-    # sort after every bound that can
-    order = np.argsort(-bound, kind="stable")[: np.count_nonzero(bound >= r)]
+    # picked candidates carry bound -1, and no bound below r can win: neither
+    # is scored
+    order = np.flatnonzero(bound >= r)
+    size = scorer.first
+    if order.shape[0] > size:
+        # one block scores its candidates in any order; more need (-bound, index)
+        order = order[np.argsort(-bound[order], kind="stable")]
     best, pick = r - 1, -1
-    start, size = 0, 8
+    start = 0
     while start < order.shape[0]:
         j = int(order[start])
         if bound[j] < best or (bound[j] == best and j > pick):
@@ -281,49 +318,61 @@ def _survivor_matrix(w: ColorWindow, color: int, pvals: list[np.ndarray], surv: 
     return out.view(np.uint64)
 
 
+class _MatrixScorer(_BlockScorer):
+    """Survivor words over a fixed survivor list surv: bit i is position surv[i].
+
+    Row j of the survivor matrix holds the survivors that stay after adding
+    pool candidate j, so a candidate costs one AND of ceil(S / 64) words.  A
+    lazy step scores its whole live pool in one block.
+    """
+
+    def __init__(self, w: ColorWindow, color: int, pvals: list[np.ndarray], surv: np.ndarray):
+        self._surv = surv
+        self._mat = _survivor_matrix(w, color, pvals, surv)
+        self.first = self._mat.shape[0]
+        self._block = max(1, _BLOCK_BYTES // (8 * self._mat.shape[1]))
+        self.full = _bit_range(0, surv.shape[0], self._mat.shape[1])
+
+    def survivors_with(self, vw: np.ndarray, rows) -> np.ndarray:
+        return self._mat[rows] & vw
+
+    def lowest(self, vw: np.ndarray, r: int | None = None) -> np.ndarray:
+        return self._surv[_lowest_set(vw, r)]
+
+
 def _greedy_one_color(
     w: ColorWindow, r: int, maxC: int, color: int, pool: np.ndarray, pvals: list[np.ndarray]
 ) -> tuple[list[int], int, tuple[int, ...]] | None:
     """Greedy C growth for one color: (C, survivor count, B)."""
-    scorer = _Scorer(w, color, pvals)
-    # survivor words: bit b is position b, or bit i is surv[i] once surv is set
+    scorer: _BlockScorer = _Scorer(w, color, pvals)
     vw = scorer.full
-    vcount = w.n
-    # a count under a smaller C bounds the count under a larger one
+    # the survivor matrix takes over at this many survivors: a survivor's
+    # matrix row costs about as much as 8 words of window scan
+    switch = max(64, vw.shape[0] // 8)
+    count = w.n
+    # a count under a smaller C bounds the count under a larger one; a count
+    # is the same number on either scorer, so the bounds outlive the switch
     bound = np.full(pool.shape[0], w.n, dtype=np.int64)
     picked: list[int] = []  # pool indices, in pick order
-    surv: np.ndarray | None = None
 
     while len(picked) < maxC:
-        if surv is None and vcount <= max(64, vw.shape[0] // 8):
-            # phase B: a step scans ceil(S / 64) words per candidate; a
-            # survivor's matrix row costs about as much as 8 words of scan
-            surv = _lowest_set(vw)
-            mat = _survivor_matrix(w, color, pvals, surv)
-            mat[picked] = 0
-            vw = np.packbits(np.arange(mat.shape[1] * 64) < surv.shape[0], bitorder="little").view(np.uint64)
-        if surv is None:
-            # phase A: lazy rescoring of the window-wide survivor words
-            pick, count = _lazy_argmax(scorer, vw, bound, r)
-            if pick < 0:
-                break
-            bound[pick] = -1
-            vw = scorer.survivors_with(vw, slice(pick, pick + 1))[0]
-        else:
-            counts = np.bitwise_count(mat & vw).sum(axis=1)
-            pick = int(counts.argmax())
-            count = int(counts[pick])
-            if count < r:
-                break
-            vw = vw & mat[pick]
-            mat[pick] = 0
+        if count <= switch:
+            # the window scorer's shift table is dropped before the matrix is built
+            surv = scorer.lowest(vw)
+            del scorer
+            scorer = _MatrixScorer(w, color, pvals, surv)
+            vw, switch = scorer.full, -1
+        pick, best = _lazy_argmax(scorer, vw, bound, r)
+        if pick < 0:
+            break
+        bound[pick] = -1
+        vw = scorer.survivors_with(vw, slice(pick, pick + 1))[0]
         picked.append(pick)
-        vcount = count
+        count = best
 
     if not picked:
         return None
-    B = _lowest_set(vw, r)
-    return pool[picked].tolist(), vcount, tuple((B if surv is None else surv[B]).tolist())
+    return pool[picked].tolist(), count, tuple(scorer.lowest(vw, r).tolist())
 
 
 def greedy_search(
@@ -341,13 +390,7 @@ def greedy_search(
     every ceil(L / cap)-th of the L candidates.
 
     The result is that of scoring every candidate at every step, found with
-    less work.  Phase A scores on the window's survivor words, lazily: the
-    first step scores every candidate, and later steps re-score in order of
-    the last count found, in blocks of 8 that double, stopping once the next
-    bound is below the best fresh count or equal to it at a later candidate.
-    With S survivors left, S <= max(64, words / 8), phase B builds a
-    candidate-by-survivor bit matrix once and scans its ceil(S / 64) words
-    per candidate at each step.
+    less work (see the module docstring).
     """
     if r < 1 or maxC < 1:
         raise DomainError("r and maxC must be positive")
@@ -388,7 +431,7 @@ def exhaustive_search(
         return None
     pvals = _pool_shifts(w, polys, cand)
     best_count = r - 1
-    best: tuple[int, list[int], np.ndarray] | None = None
+    best: tuple[int, list[int], np.ndarray] | None = None  # (color, C indices, B)
 
     def extend(scorer: _Scorer, color: int, vw: np.ndarray, chosen: list[int]) -> None:
         nonlocal best_count, best
@@ -400,7 +443,7 @@ def exhaustive_search(
             if counts[pick] > best_count:
                 best_count = int(counts[pick])
                 j = start + pick
-                best = (color, chosen + [j], scorer.survivors_with(vw, slice(j, j + 1))[0])
+                best = (color, chosen + [j], scorer.lowest(scorer.survivors_with(vw, slice(j, j + 1))[0], r))
             return
         for i in np.flatnonzero(counts > best_count).tolist():
             if counts[i] > best_count:  # the best may have grown under an earlier prefix
@@ -412,9 +455,9 @@ def exhaustive_search(
         extend(scorer, color, scorer.full, [])
     if best is None:
         return None
-    color, chosen, vw = best
+    color, chosen, B = best
     return Configuration(
-        B=tuple(_lowest_set(vw, r).tolist()), C=tuple(cand[chosen].tolist()), polys=polys, color=color,
+        B=tuple(B.tolist()), C=tuple(cand[chosen].tolist()), polys=polys, color=color,
         survivors=best_count, strategy="exhaustive",
     )
 
@@ -422,12 +465,10 @@ def exhaustive_search(
 def _hits(coloring: Coloring, n: int, P: IntPolynomial, ms: np.ndarray, color: int) -> np.ndarray:
     """For ms >= 1: n + P(m) >= 1 and colored `color`, exactly."""
     vals = values(P, ms, n)
-    if vals.dtype == np.int64:
-        good = vals >= 1
-        if bool(good.all()):
-            return coloring.colors_at(vals) == color
-        return good & (coloring.colors_at(np.where(good, vals, 1)) == color)
-    return np.array([v >= 1 and coloring.color(v) == color for v in vals.tolist()], dtype=bool)
+    good = vals >= 1
+    if bool(good.all()):
+        return coloring.colors_at(vals) == color
+    return good & (coloring.colors_at(np.where(good, vals, 1)) == color)
 
 
 def _good_runs(

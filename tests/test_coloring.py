@@ -32,8 +32,8 @@ from sumset_ramsey import (
     write_runlength,
 )
 from sumset_ramsey import coloring as coloring_module
-from sumset_ramsey.coloring import BreakpointColoring, Coloring
-from sumset_ramsey.poly import BandPart, _positive_from, _shift, _sub, band_offset
+from sumset_ramsey.coloring import AdmissibleParams, BreakpointColoring, Coloring
+from sumset_ramsey.poly import BandPart, _positive_from, _shift, _sub, band_offset, psi_eval
 from sumset_ramsey.errors import (
     BadPair,
     BadParams,
@@ -487,6 +487,29 @@ def test_check_admissible_constants():
         assert 1.5 * math.sqrt(t) > ap.lam0**2
 
 
+def test_check_admissible_evaluates_each_grid_point_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return psi_eval(*args)
+
+    monkeypatch.setattr(coloring_module, "psi_eval", counting)
+    # the width-growth grid (100 points, kept for the expansion inequality),
+    # the expansion inequality's 3 shifted points per grid point, the jump
+    # bound's 2 and the representation range's 1
+    assert check_admissible(N2, N3, 15) == AdmissibleParams(
+        a0=15, lam0=1.571121628807815, eps0=0.035560814403907515, u=7.444015223667614
+    )
+    assert len(calls) == 403
+    P, Q = parse_poly("2n^2"), parse_poly("3n^3 + n")
+    assert check_admissible(P, Q, 14) == AdmissibleParams(
+        a0=14, lam0=1.6739855301010664, eps0=0.08699276505053326, u=3.283799648479176
+    )
+    assert find_admissible_a0(N2, N3, 100) == 15
+    assert find_admissible_a0(P, Q, 100) == 14
+
+
 def test_custom_periodic():
     c = custom_coloring("periodic", pattern="12")
     assert [c.color(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 1, 2, 1]
@@ -817,6 +840,56 @@ def test_colors_at_agrees_with_color(every_kind, which, zs):
     vec = _outcome(lambda: c.colors_at(np.array(zs, dtype=np.int64)).tolist())
     scalar = _outcome(lambda: [c.color(z) for z in zs])
     assert vec == scalar
+
+
+@pytest.fixture(scope="module")
+def wide_kinds():
+    # (coloring, largest position drawn for it); case2's breakpoints grow like
+    # n^2, so there color() itself reaches only about 10^12 in test time, and
+    # the geometric and recursive kinds take the same colors_at past 2^63
+    return [
+        (power_2coloring(1, 2), None),
+        (geometric_3coloring(1, 2), None),
+        (triple_2coloring(1, 2, 3), None),
+        (case2_coloring(N2, parse_poly("n^2 + n")), 10**12),
+        (recursive_log_coloring(N2, N3, a0=15, window_n=10**4), None),
+        (recursive_log_coloring(parse_poly("2n^2"), parse_poly("3n^3 + n"), a0=14, window_n=10**4), None),
+        (custom_coloring("random", seed=7, k=3), None),
+        (custom_coloring("periodic", pattern="1121"), None),
+        (custom_coloring("explicit", values=[2, 1, 2, 2, 1], palette=3), None),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.integers(0, 8),
+    zs=st.lists(
+        st.one_of(st.integers(1, 2**62), st.integers(2**63 - 8, 2**63 + 8), st.integers(1, 10**30)),
+        min_size=1, max_size=12,
+    ),
+    form=st.sampled_from(["list", "object", "uint64"]),
+    bad=st.one_of(st.none(), st.integers(-(10**30), 0)),
+)
+@example(which=0, zs=[2**63 + 5, 2**64 + 7, 10**30], form="list", bad=None)
+@example(which=6, zs=[3, 2**63 - 1, 2**63], form="uint64", bad=None)
+def test_colors_at_agrees_with_color_past_int64(wide_kinds, which, zs, form, bad):
+    c, reach = wide_kinds[which]
+    if reach is not None:
+        zs = [(z - 1) % reach + 1 for z in zs]
+    want = [c.color(z) for z in zs]
+    if bad is not None:
+        zs = zs[:1] + [bad] + zs[1:]
+        with pytest.raises(DomainError):
+            c.color(bad)
+    if form == "uint64" and max(zs) < 2**64 and min(zs) >= 0:
+        arg = np.array(zs, dtype=np.uint64)
+    else:
+        arg = zs if form == "list" else np.array(zs, dtype=object)
+    if bad is not None:
+        with pytest.raises(DomainError):
+            c.colors_at(arg)
+    else:
+        assert c.colors_at(arg).tolist() == want
 
 
 def test_runs_reconstruct_colors():

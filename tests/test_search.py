@@ -340,7 +340,9 @@ def test_greedy_rescores_an_equal_bound_at_a_smaller_index(monkeypatch):
 
 
 class _FixedCounts:
-    # a scorer whose fresh counts are given per pool index
+    # a scorer whose fresh counts are given per pool index, first block of 8
+    first = 8
+
     def __init__(self, fresh):
         self.fresh = np.array(fresh, dtype=np.int64)
         self.scored = []
@@ -369,6 +371,55 @@ def test_lazy_argmax_scores_an_equal_bound_at_a_smaller_index():
     scorer = _FixedCounts([2, 2, 2])
     assert search_module._lazy_argmax(scorer, None, bound, 3) == (-1, 2)
     assert sorted(scorer.scored) == [0, 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coloring=st.one_of(
+        st.builds(lambda seed, k: custom_coloring("random", seed=seed, k=k), st.integers(0, 10**6), st.integers(2, 3)),
+        st.builds(lambda pat: custom_coloring("periodic", pattern=pat), st.text(alphabet="123", min_size=1, max_size=12)),
+    ),
+    n=st.integers(1, 1 << 12),
+    poly_text=st.sampled_from(sorted(ORACLE_POLYS)),
+    cap=st.sampled_from([None, 7, 64]),
+    data=st.data(),
+)
+def test_matrix_scorer_agrees_with_window_scorer(coloring, n, poly_text, cap, data):
+    # after a prefix of C scored on the window, the survivor matrix over the
+    # survivors left must count, filter and report them as the window does
+    w = window(coloring, n)
+    pool = _candidates(w, ORACLE_POLYS[poly_text], cap)
+    if not pool.shape[0]:
+        return
+    pvals = search_module._pool_shifts(w, ORACLE_POLYS[poly_text], pool)
+    color = data.draw(st.integers(1, w.palette), label="color")
+    index = st.integers(0, pool.shape[0] - 1)
+    prefix = data.draw(st.lists(index, max_size=4, unique=True), label="prefix")
+    scorer = search_module._Scorer(w, color, pvals)
+    vw = scorer.full
+    for j in prefix:
+        vw = scorer.survivors_with(vw, slice(j, j + 1))[0]
+    surv = scorer.lowest(vw)
+    if not surv.shape[0]:
+        return
+    matrix = search_module._MatrixScorer(w, color, pvals, surv)
+    mv = matrix.full
+    assert matrix.lowest(mv).tolist() == surv.tolist()
+    order = np.array(data.draw(st.permutations(range(pool.shape[0])), label="order"), dtype=np.int64)
+    start = data.draw(st.integers(0, pool.shape[0]), label="start")
+    stop = data.draw(st.integers(start, pool.shape[0]), label="stop")
+    assert matrix.counts(mv, start, stop, order).tolist() == scorer.counts(vw, start, stop, order).tolist()
+    assert matrix.counts(mv, start, stop).tolist() == scorer.counts(vw, start, stop).tolist()
+    r = data.draw(st.one_of(st.none(), st.integers(1, 4)), label="r")
+    rows = order[start:stop]
+    for got, want in zip(matrix.survivors_with(mv, rows), scorer.survivors_with(vw, rows)):
+        assert matrix.lowest(got, r).tolist() == scorer.lowest(want, r).tolist()
+    # a pick on each keeps them in step
+    j = data.draw(index, label="pick")
+    mv = matrix.survivors_with(mv, slice(j, j + 1))[0]
+    vw = scorer.survivors_with(vw, slice(j, j + 1))[0]
+    assert matrix.lowest(mv, r).tolist() == scorer.lowest(vw, r).tolist()
+    assert matrix.counts(mv, 0, pool.shape[0]).tolist() == scorer.counts(vw, 0, pool.shape[0]).tolist()
 
 
 @pytest.mark.parametrize("spec,n", sorted(GREEDY_PINNED))
