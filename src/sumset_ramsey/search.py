@@ -151,6 +151,11 @@ def _candidates(w: ColorWindow, polys: Sequence[IntPolynomial], cap: int | None 
 # for a block to stay in cache
 _BLOCK_BYTES = 1 << 18
 
+# table columns filled per numpy call while building the shift table, and
+# the right shifts of its rows 1..7
+_TABLE_CHUNK = 1 << 14
+_ROW_SHIFTS = np.arange(1, 8, dtype=np.uint16)[:, None]
+
 # positions gathered per numpy call while building the survivor matrix: one
 # word of 64 survivors against 1024 pool candidates
 _MATRIX_ENTRIES = 1 << 16
@@ -228,18 +233,21 @@ class _Scorer(_BlockScorer):
         front = -(lo // 8)
         nbytes = front + (hi >> 3) + 8 * nwords
         # one full-size temporary at a time: the color test is packed before
-        # the table exists, and each row reuses one spill buffer
+        # the table exists, and the other rows are filled a chunk of columns
+        # at a time
         packed = np.packbits(w.colors == color, bitorder="little")
         table = np.zeros((8, nbytes), dtype=np.uint8)
         table[0, front : front + packed.shape[0]] = packed
         del packed
-        # byte i of row t: bits t.. of byte i of row 0, then the low bits of byte i + 1
-        spill = np.empty(nbytes - 1, dtype=np.uint8)
-        for t in range(1, 8):
-            np.right_shift(table[0], t, out=table[t])
-            np.left_shift(table[0, 1:], 8 - t, out=spill)
-            table[t, :-1] |= spill
-        del spill
+        # byte i of row t: bits t.. of byte i of row 0, then the low bits of
+        # byte i + 1, i.e. the 16-bit pair (i + 1, i) shifted right by t
+        for a in range(0, nbytes - 1, _TABLE_CHUNK):
+            b = min(a + _TABLE_CHUNK, nbytes - 1)
+            pair = table[0, a + 1 : b + 1].astype(np.uint16)
+            pair <<= 8
+            pair |= table[0, a:b]
+            np.right_shift(pair, _ROW_SHIFTS, out=table[1:, a:b], casting="unsafe")
+        table[1:, -1] = table[0, -1] >> _ROW_SHIFTS[:, 0]
         # a sliding window view: window k of row t is the 8 * nwords bytes from byte k
         self._windows = np.ndarray(
             (8, nbytes - 8 * nwords + 1, 8 * nwords), np.uint8, table, strides=(nbytes, 1, 1)
@@ -431,7 +439,9 @@ def exhaustive_search(
         return None
     pvals = _pool_shifts(w, polys, cand)
     best_count = r - 1
-    best: tuple[int, list[int], np.ndarray] | None = None  # (color, C indices, B)
+    # (color, C indices, survivor words); the words become B once the color
+    # is done, so B is taken once per color rather than at every improvement
+    best: tuple[int, list[int], np.ndarray] | None = None
 
     def extend(scorer: _Scorer, color: int, vw: np.ndarray, chosen: list[int]) -> None:
         nonlocal best_count, best
@@ -443,7 +453,7 @@ def exhaustive_search(
             if counts[pick] > best_count:
                 best_count = int(counts[pick])
                 j = start + pick
-                best = (color, chosen + [j], scorer.lowest(scorer.survivors_with(vw, slice(j, j + 1))[0], r))
+                best = (color, chosen + [j], scorer.survivors_with(vw, slice(j, j + 1))[0])
             return
         for i in np.flatnonzero(counts > best_count).tolist():
             if counts[i] > best_count:  # the best may have grown under an earlier prefix
@@ -453,6 +463,8 @@ def exhaustive_search(
     for color in range(1, w.palette + 1):
         scorer = _Scorer(w, color, pvals)
         extend(scorer, color, scorer.full, [])
+        if best is not None and best[0] == color:
+            best = (color, best[1], scorer.lowest(best[2], r))
     if best is None:
         return None
     color, chosen, B = best

@@ -375,6 +375,26 @@ def test_lazy_argmax_scores_an_equal_bound_at_a_smaller_index():
 
 @settings(max_examples=150, deadline=None)
 @given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 300),
+    color=st.integers(1, 2),
+    shifts=st.lists(st.lists(st.integers(-301, 301), min_size=3, max_size=3), min_size=1, max_size=2),
+)
+# the shift table's last byte: the packed mask fills the table and no shift reaches 8
+@example(seed=1, n=63, color=1, shifts=[[1, 5, 7], [0, 3, 6]])
+def test_window_scorer_matches_shifted_mask(seed, n, color, shifts):
+    # a candidate keeps b iff b + P(c) has the color, for each P; shifts are clipped as in the pool
+    w = window(custom_coloring("random", seed=seed, k=2), n)
+    pvals = [np.clip(np.array(sh, dtype=np.int64), -(n + 1), n + 1) for sh in shifts]
+    scorer = search_module._Scorer(w, color, pvals)
+    cols = w.colors.tolist()
+    for j in range(3):
+        want = [b for b in range(1, n + 1) if all(1 <= b + int(pv[j]) <= n and cols[b + int(pv[j])] == color for pv in pvals)]
+        assert scorer.lowest(scorer.survivors_with(scorer.full, slice(j, j + 1))[0]).tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
     coloring=st.one_of(
         st.builds(lambda seed, k: custom_coloring("random", seed=seed, k=k), st.integers(0, 10**6), st.integers(2, 3)),
         st.builds(lambda pat: custom_coloring("periodic", pattern=pat), st.text(alphabet="123", min_size=1, max_size=12)),
