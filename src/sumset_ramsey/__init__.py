@@ -18,20 +18,17 @@ from .coloring import (
     SeededRandomColoring,
     case2_coloring,
     check_admissible,
-    custom_coloring,
     find_admissible_a0,
     geometric_3coloring,
     power_2coloring,
     read_runlength,
     recursive_log_coloring,
     triple_2coloring,
-    window,
     window_cap,
     write_runlength,
 )
 from .dynamics import (
     ReturnSet,
-    Word,
     density_profile,
     dichotomy_detect,
     max_gap,
@@ -99,7 +96,6 @@ __all__ = [
     "SeededRandomColoring",
     "SumsetRamseyError",
     "WitnessParams",
-    "Word",
     "a_star",
     "bad_set",
     "bad_set_growth",
@@ -108,7 +104,6 @@ __all__ = [
     "case2_coloring",
     "check_admissible",
     "check_sumset_identity",
-    "custom_coloring",
     "density_profile",
     "dichotomy_detect",
     "exhaustive_search",
@@ -131,7 +126,6 @@ __all__ = [
     "survivor_set",
     "triple_2coloring",
     "verify_config",
-    "window",
     "window_cap",
     "witness_values",
     "word_from_coloring",

@@ -24,6 +24,7 @@ from .coloring import (
     ExplicitColoring,
     PeriodicColoring,
     SeededRandomColoring,
+    _int_tok,
     case2_coloring,
     geometric_3coloring,
     power_2coloring,
@@ -60,13 +61,6 @@ __all__ = ["parse_coloring_spec", "run", "main"]
 # coloring spec grammar: kind[:params][@file], params = positional and
 # key=value entries separated by commas, rationals written p/q
 # ---------------------------------------------------------------------------
-
-
-def _int_tok(tok: str, text: str, pos: int) -> int:
-    try:
-        return int(tok.strip())
-    except ValueError:
-        raise ParseError(f"expected integer, got {tok.strip()!r}", text, pos) from None
 
 
 def _frac_tok(tok: str, text: str, pos: int) -> Fraction:
@@ -290,7 +284,7 @@ def _set_arg(args) -> set[int]:
         return set(_ints_arg(args.set, "--set"))
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="ascii") as fh:
-            return {int(t) for t in fh.read().split()}
+            return {_int_tok(t, args.file) for t in fh.read().split()}
     raise ParseError("need --set or --file", "", None)
 
 

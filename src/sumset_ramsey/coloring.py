@@ -61,6 +61,8 @@ from .poly import (
 DEFAULT_WINDOW_CAP = 10_000_000
 WINDOW_CAP_ENV = "SUMSET_RAMSEY_NMAX"
 _I64_MAX = int(np.iinfo(np.int64).max)
+# colors are stored as uint8
+MAX_PALETTE = 255
 
 
 def window_cap() -> int:
@@ -72,6 +74,12 @@ def window_cap() -> int:
         return int(raw)
     except ValueError:
         raise DomainError(f"{WINDOW_CAP_ENV} must be an integer, got {raw!r}")
+
+
+def _check_palette(palette: int) -> int:
+    if palette > MAX_PALETTE:
+        raise BadParams(f"palette {palette} exceeds {MAX_PALETTE}")
+    return palette
 
 
 def _frac_str(q: Fraction) -> str:
@@ -204,10 +212,6 @@ def _int64_kernel(kernel: Callable[[Coloring, np.ndarray], np.ndarray]):
         return out
 
     return colors_at
-
-
-def window(coloring: Coloring, n: int) -> ColorWindow:
-    return coloring.window(n)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +463,7 @@ def case2_coloring(P: IntPolynomial, Q: IntPolynomial) -> BreakpointColoring:
             k, size = k + size, 2 * size
 
     desc = f"case2:P={format_poly(P)},Q={format_poly(Q)}"
-    out = BreakpointColoring(2, 1, gen(), desc)
-    out.band = off  # expose the split for diagnostics
-    return out
+    return BreakpointColoring(2, 1, gen(), desc)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +490,7 @@ class SeededRandomColoring(Coloring):
         if palette < 2:
             raise BadParams(f"palette must be at least 2, got {palette}")
         self.seed = int(seed)
-        self.palette = int(palette)
+        self.palette = _check_palette(int(palette))
         self.descriptor = f"random:seed={self.seed},k={self.palette}"
         self._base = (self.seed * _SM_GAMMA) & _U64
 
@@ -516,7 +518,7 @@ class PeriodicColoring(Coloring):
         if min(pat) < 1:
             raise BadParams("pattern colors start at 1")
         self.pattern = tuple(pat)
-        self.palette = max(2, max(pat))
+        self.palette = _check_palette(max(2, max(pat)))
         self._arr = np.array(pat, dtype=np.uint8)
         self.descriptor = "periodic:" + ("".join(str(p) for p in pat) if max(pat) <= 9 else "-".join(str(p) for p in pat))
 
@@ -539,10 +541,10 @@ class ExplicitColoring(Coloring):
             raise EmptyPattern("explicit color stream is empty")
         if min(vals) < 1:
             raise BadParams("colors start at 1")
-        self.values = np.array(vals, dtype=np.uint8)
-        self.palette = int(palette) if palette is not None else max(2, max(vals))
-        if self.values.max() > self.palette:
+        self.palette = _check_palette(int(palette) if palette is not None else max(2, max(vals)))
+        if max(vals) > self.palette:
             raise BadParams("stream color exceeds palette")
+        self.values = np.array(vals, dtype=np.uint8)
         self.descriptor = descriptor or ("explicit:" + ("".join(str(v) for v in vals) if max(vals) <= 9 else "-".join(str(v) for v in vals)))
 
     def color(self, n: int) -> int:
@@ -558,17 +560,6 @@ class ExplicitColoring(Coloring):
         return out
 
 
-def custom_coloring(kind: str, **kwargs) -> Coloring:
-    """Factory for the custom kinds: explicit stream, periodic pattern, seeded random."""
-    if kind == "explicit":
-        return ExplicitColoring(kwargs["values"], kwargs.get("palette"))
-    if kind == "periodic":
-        return PeriodicColoring(kwargs["pattern"])
-    if kind == "random":
-        return SeededRandomColoring(kwargs.get("seed", 0), kwargs.get("k", 2))
-    raise ParseError(f"unknown custom coloring kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # run-length file format
 # ---------------------------------------------------------------------------
@@ -581,6 +572,14 @@ def write_runlength(coloring: Coloring, n: int, stream: TextIO) -> None:
         stream.write(f"{color} {length}\n")
 
 
+def _int_tok(tok: str, text: str, pos: int | None = None) -> int:
+    """An integer token of textual input, or ParseError."""
+    try:
+        return int(tok.strip())
+    except ValueError:
+        raise ParseError(f"expected integer, got {tok.strip()!r}", text, pos) from None
+
+
 def read_runlength(stream: TextIO, descriptor: str = "file@<stream>") -> ExplicitColoring:
     """Parse the run-length format back into an explicit coloring."""
     lines = [ln.strip() for ln in stream if ln.strip()]
@@ -589,7 +588,7 @@ def read_runlength(stream: TextIO, descriptor: str = "file@<stream>") -> Explici
     head = lines[0].split()
     if len(head) != 2 or head[0] != "palette":
         raise ParseError(f"expected 'palette k', got {lines[0]!r}")
-    palette = int(head[1])
+    palette = _check_palette(_int_tok(head[1], lines[0]))
     if lines[1].split() != ["start", "1"]:
         raise ParseError(f"expected 'start 1', got {lines[1]!r}")
     chunks: list[np.ndarray] = []
@@ -597,7 +596,7 @@ def read_runlength(stream: TextIO, descriptor: str = "file@<stream>") -> Explici
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'color length', got {ln!r}")
-        color, length = int(parts[0]), int(parts[1])
+        color, length = _int_tok(parts[0], ln), _int_tok(parts[1], ln)
         if not (1 <= color <= palette):
             raise ParseError(f"run color {color} outside palette 1..{palette}")
         if length < 1:
@@ -609,6 +608,12 @@ def read_runlength(stream: TextIO, descriptor: str = "file@<stream>") -> Explici
 # ---------------------------------------------------------------------------
 # recursive logarithmic-width coloring
 # ---------------------------------------------------------------------------
+
+# grid points per range in the admissibility checks
+ADMISSIBLE_GRID = 100
+# largest base level recursive_log_coloring tries when none is given
+A0_SCAN_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class AdmissibleParams:
@@ -633,7 +638,7 @@ def _ceil_mpf(x: mpmath.mpf) -> int:
     return int(mpmath.ceil(x))
 
 
-def check_admissible(P: IntPolynomial, Q: IntPolynomial, a0: int, grid: int = 100) -> AdmissibleParams:
+def check_admissible(P: IntPolynomial, Q: IntPolynomial, a0: int) -> AdmissibleParams:
     """Run the base-level admissibility checks; raise InadmissibleA0 on failure.
 
     Checks (the three properties of a usable base level):
@@ -663,8 +668,8 @@ def check_admissible(P: IntPolynomial, Q: IntPolynomial, a0: int, grid: int = 10
         # slope constant lam0 from the minimum of psi' over (f(a0), 4 a0]
         lam_lo = None
         t0, t1 = f_a0 * (1 + mpmath.mpf("1e-9")), mpmath.mpf(4 * a0)
-        for i in range(grid):
-            t = t0 + (t1 - t0) * i / (grid - 1)
+        for i in range(ADMISSIBLE_GRID):
+            t = t0 + (t1 - t0) * i / (ADMISSIBLE_GRID - 1)
             dp = psi_prime(P, Q, t)
             lam_lo = dp if lam_lo is None else min(lam_lo, dp)
         lam0 = mpmath.sqrt(lam_lo)
@@ -680,8 +685,8 @@ def check_admissible(P: IntPolynomial, Q: IntPolynomial, a0: int, grid: int = 10
         # expansion inequality below reuses the grid's (t, f(t), psi(t), f(psi(t)))
         ta, tb = mpmath.mpf(a0) / 2, mpmath.mpf(4 * a0)
         points = []
-        for i in range(grid):
-            t = ta + (tb - ta) * i / (grid - 1)
+        for i in range(ADMISSIBLE_GRID):
+            t = ta + (tb - ta) * i / (ADMISSIBLE_GRID - 1)
             ft, psi_t = _f_ln(t), psi_eval(P, Q, t)
             f_psi_t = _f_ln(psi_t)
             if not f_psi_t < lam_eff * ft:
@@ -874,8 +879,8 @@ def recursive_log_coloring(
     Q: IntPolynomial,
     a0: int | None = None,
     window_n: int = DEFAULT_WINDOW_CAP,
-    scan_limit: int = 1_000_000,
 ) -> RecursiveLogColoring:
-    """Build the recursive coloring; find the base level when none is given."""
-    params = _first_admissible(P, Q, scan_limit) if a0 is None else check_admissible(P, Q, a0)
+    """Build the recursive coloring; find the base level up to A0_SCAN_LIMIT when
+    none is given."""
+    params = _first_admissible(P, Q, A0_SCAN_LIMIT) if a0 is None else check_admissible(P, Q, a0)
     return RecursiveLogColoring(P, Q, params.a0, window_n, params)

@@ -13,13 +13,13 @@ import mpmath
 import numpy as np
 
 from sumset_ramsey import (
+    SeededRandomColoring,
     WitnessParams,
     bad_set,
     band_offset,
     build_witness,
     case2_coloring,
     check_sumset_identity,
-    custom_coloring,
     exhaustive_search,
     find_admissible_a0,
     geometric_3coloring,
@@ -32,7 +32,6 @@ from sumset_ramsey import (
     recursive_log_coloring,
     triple_2coloring,
     verify_config,
-    window,
 )
 from sumset_ramsey.errors import DomainError, NoConfiguration
 
@@ -222,7 +221,7 @@ def test_criterion_06_greedy_search_finds_large_configurations():
 
     hits = 0
     for seed in range(20):
-        c = custom_coloring("random", seed=seed, k=2)
+        c = SeededRandomColoring(seed, 2)
         cfg = greedy_search(c.window(N), polys, r=3, maxC=12, candidate_cap=2048)
         assert verify_config(c, cfg) == cfg.color, seed
         if len(cfg.C) >= 8:
@@ -276,10 +275,10 @@ def test_criterion_07_exhaustive_search_matches_oracle():
     polys = (parse_poly("n"), parse_poly("2 n"))
     for _ in range(50):
         n = rng.randint(15, 40)
-        c = custom_coloring("random", seed=rng.randint(0, 10**6), k=2)
+        c = SeededRandomColoring(rng.randint(0, 10**6), 2)
         sizeC = rng.randint(1, 2)
         want = _oracle_best(c, n, polys, 2, sizeC)
-        got = exhaustive_search(window(c, n), polys, r=2, sizeC=sizeC)
+        got = exhaustive_search(c.window(n), polys, r=2, sizeC=sizeC)
         if want is None:
             assert got is None, (n, sizeC)
         else:
@@ -289,12 +288,12 @@ def test_criterion_07_exhaustive_search_matches_oracle():
 
         # greedy can never report more columns than the exhaustive optimum
         try:
-            g = greedy_search(window(c, n), polys, r=2, maxC=2)
+            g = greedy_search(c.window(n), polys, r=2, maxC=2)
         except NoConfiguration:
             continue
         best_size = 0
         for sc in (1, 2):
-            if exhaustive_search(window(c, n), polys, r=2, sizeC=sc) is not None:
+            if exhaustive_search(c.window(n), polys, r=2, sizeC=sc) is not None:
                 best_size = sc
         assert len(g.C) <= best_size, (n, len(g.C), best_size)
     _passed("criterion 7")

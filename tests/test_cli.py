@@ -12,7 +12,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from sumset_ramsey import ParseError, parse_coloring_spec, window
+from sumset_ramsey import ParseError, parse_coloring_spec
 from sumset_ramsey.cli import run
 
 SCHEMA = json.loads(
@@ -154,8 +154,8 @@ def test_color_runlength_round_trip(tmp_path):
     path.write_text(out)
     back = parse_coloring_spec(f"file@{path}")
     orig = parse_coloring_spec("power2:1,2")
-    wa = window(back, 100)
-    wb = window(orig, 100)
+    wa = back.window(100)
+    wb = orig.window(100)
     assert all(wa.mask(i) == wb.mask(i) for i in (1, 2))
 
 
@@ -265,6 +265,42 @@ def test_ap_from_file(tmp_path):
     code, out, err = _run("ap", "--file", str(path))
     assert code == 0, err
     assert json.loads(out)["length"] == 4
+
+
+def _file_error(code, out, err):
+    assert (code, out) == (2, "")
+    obj = _validated(err)
+    assert obj["error"] == "ParseError"
+    assert "expected integer" in obj["message"]
+
+
+def test_ap_file_non_integer(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("2 4 x 8\n")
+    _file_error(*_run("ap", "--file", str(path)))
+
+
+def test_dynamics_density_file_non_integer(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("2 4 6.5\n")
+    _file_error(*_run("dynamics", "--op", "density", "--file", str(path), "--M", "10",
+                      "--window-sizes", "2"))
+
+
+@pytest.mark.parametrize(
+    "text", ["palette two\nstart 1\n1 3\n", "palette 2\nstart 1\nx 3\n", "palette 2\nstart 1\n1 3x\n"]
+)
+def test_color_runlength_file_non_integer(tmp_path, text):
+    path = tmp_path / "c.rl"
+    path.write_text(text)
+    _file_error(*_run("color", "--coloring", f"file@{path}", "--N", "3"))
+
+
+def test_color_palette_above_255_exit():
+    code, out, err = _run("color", "--coloring", "random:k=300,seed=1", "--N", "10")
+    assert (code, out) == (1, "")
+    obj = _validated(err)
+    assert obj["error"] == "BadParams"
 
 
 def test_dynamics_return_json():

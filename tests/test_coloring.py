@@ -20,7 +20,6 @@ from sumset_ramsey import (
     bad_set,
     case2_coloring,
     check_admissible,
-    custom_coloring,
     find_admissible_a0,
     geometric_3coloring,
     parse_poly,
@@ -28,7 +27,6 @@ from sumset_ramsey import (
     read_runlength,
     recursive_log_coloring,
     triple_2coloring,
-    window,
     write_runlength,
 )
 from sumset_ramsey import coloring as coloring_module
@@ -41,6 +39,7 @@ from sumset_ramsey.errors import (
     EmptyPattern,
     InadmissibleA0,
     NoAdmissibleA0,
+    ParseError,
     SumsetRamseyError,
     WindowTooSmall,
 )
@@ -511,35 +510,35 @@ def test_check_admissible_evaluates_each_grid_point_once(monkeypatch):
 
 
 def test_custom_periodic():
-    c = custom_coloring("periodic", pattern="12")
+    c = PeriodicColoring([1, 2])
     assert [c.color(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 1, 2, 1]
-    const = custom_coloring("periodic", pattern="1")
+    const = PeriodicColoring([1])
     assert all(const.color(n) == 1 for n in range(1, 200))
 
 
 def test_custom_periodic_empty():
     with pytest.raises(EmptyPattern):
-        custom_coloring("periodic", pattern="")
+        PeriodicColoring([])
 
 
 def test_custom_seeded_deterministic():
-    c1 = custom_coloring("random", seed=7, k=2)
-    c2 = custom_coloring("random", seed=7, k=2)
+    c1 = SeededRandomColoring(7, 2)
+    c2 = SeededRandomColoring(7, 2)
     xs = list(range(1, 2001))
     assert [c1.color(n) for n in xs] == [c2.color(n) for n in xs]
     assert all(c1.color(n) in (1, 2) for n in xs)
-    c3 = custom_coloring("random", seed=8, k=2)
+    c3 = SeededRandomColoring(8, 2)
     assert any(c1.color(n) != c3.color(n) for n in xs)
 
 
 def test_custom_seeded_palette():
-    c = custom_coloring("random", seed=3, k=5)
+    c = SeededRandomColoring(3, 5)
     seen = {c.color(n) for n in range(1, 5001)}
     assert seen == {1, 2, 3, 4, 5}
 
 
 def test_custom_explicit():
-    c = custom_coloring("explicit", values=(2, 1, 2), palette=2)
+    c = ExplicitColoring((2, 1, 2), 2)
     assert [c.color(n) for n in (1, 2, 3)] == [2, 1, 2]
     # beyond the stream the color falls back to 1
     assert c.color(4) == 1
@@ -547,16 +546,16 @@ def test_custom_explicit():
 
 
 def test_window_fixed():
-    const = custom_coloring("periodic", pattern="1")
-    w = window(const, 8)
+    const = PeriodicColoring([1])
+    w = const.window(8)
     assert w.mask(1) == sum(1 << n for n in range(1, 9))
     assert w.mask(2) == 0
 
-    w = window(custom_coloring("periodic", pattern="12"), 4)
+    w = PeriodicColoring([1, 2]).window(4)
     assert w.mask(1) == (1 << 1) | (1 << 3)
     assert w.mask(2) == (1 << 2) | (1 << 4)
 
-    w = window(power_2coloring(1, 2), 16)
+    w = power_2coloring(1, 2).window(16)
     assert w.mask(2) == sum(1 << n for n in range(8, 16))
 
 
@@ -566,12 +565,12 @@ def test_window_partitions():
         geometric_3coloring(1, 2),
         triple_2coloring(1, 2, 3),
         case2_coloring(N2, parse_poly("n^2 + n")),
-        custom_coloring("random", seed=11, k=3),
+        SeededRandomColoring(11, 3),
         recursive_log_coloring(N2, N3, a0=15, window_n=10**5),
     ]
     n = 10**5
     for c in colorings:
-        w = window(c, n)
+        w = c.window(n)
         assert len(w.colors) == n + 1
         assert np.all(w.colors[1:] >= 1) and np.all(w.colors[1:] <= c.palette)
         masks = [w.mask(i) for i in range(1, c.palette + 1)]
@@ -592,7 +591,7 @@ def test_colors_at_matches_scalar():
         power_2coloring(1, 2),
         geometric_3coloring(1, 2),
         case2_coloring(N2, parse_poly("n^2 + 2 n")),
-        custom_coloring("random", seed=1, k=4),
+        SeededRandomColoring(1, 4),
     ]
     ns = np.array(sorted(rng.sample(range(1, 10**6), 500)), dtype=np.int64)
     for c in colorings:
@@ -834,12 +833,50 @@ def _outcome(f):
 @given(
     which=st.integers(0, 7),
     zs=st.lists(st.one_of(st.integers(-3, 50), st.integers(1, 10**6)), max_size=20),
+    seed=st.integers(0, 2**64),
+    palette=st.integers(2, 255),
 )
-def test_colors_at_agrees_with_color(every_kind, which, zs):
-    c = every_kind[which]
-    vec = _outcome(lambda: c.colors_at(np.array(zs, dtype=np.int64)).tolist())
-    scalar = _outcome(lambda: [c.color(z) for z in zs])
-    assert vec == scalar
+def test_colors_at_agrees_with_color(every_kind, which, zs, seed, palette):
+    for c in (every_kind[which], SeededRandomColoring(seed, palette)):
+        vec = _outcome(lambda: c.colors_at(np.array(zs, dtype=np.int64)).tolist())
+        scalar = _outcome(lambda: [c.color(z) for z in zs])
+        assert vec == scalar
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda k: SeededRandomColoring(1, k),
+        lambda k: PeriodicColoring([k, 1]),
+        lambda k: ExplicitColoring([1, k]),
+        lambda k: ExplicitColoring([1, 2], palette=k),
+        lambda k: read_runlength(io.StringIO(f"palette {k}\nstart 1\n1 3\n{k} 2\n")),
+    ],
+    ids=["random", "periodic", "explicit", "explicit-palette", "runlength"],
+)
+def test_palette_limit(make):
+    # colors are stored as uint8: 255 is the largest palette, and every kind
+    # agrees with color() there
+    c = make(255)
+    assert c.palette == 255
+    zs = np.arange(1, 2000, dtype=np.int64)
+    assert c.colors_at(zs).tolist() == [c.color(z) for z in range(1, 2000)]
+    with pytest.raises(BadParams):
+        make(256)
+
+
+def test_runlength_palette_checked_before_runs():
+    # the run line is malformed too: reading it first would raise ParseError
+    with pytest.raises(BadParams):
+        read_runlength(io.StringIO("palette 256\nstart 1\n1 0\n"))
+
+
+@pytest.mark.parametrize(
+    "text", ["palette x\nstart 1\n1 3\n", "palette 2\nstart 1\none 3\n", "palette 2\nstart 1\n1 3.5\n"]
+)
+def test_runlength_non_integer_field(text):
+    with pytest.raises(ParseError):
+        read_runlength(io.StringIO(text))
 
 
 @pytest.fixture(scope="module")
@@ -854,9 +891,9 @@ def wide_kinds():
         (case2_coloring(N2, parse_poly("n^2 + n")), 10**12),
         (recursive_log_coloring(N2, N3, a0=15, window_n=10**4), None),
         (recursive_log_coloring(parse_poly("2n^2"), parse_poly("3n^3 + n"), a0=14, window_n=10**4), None),
-        (custom_coloring("random", seed=7, k=3), None),
-        (custom_coloring("periodic", pattern="1121"), None),
-        (custom_coloring("explicit", values=[2, 1, 2, 2, 1], palette=3), None),
+        (SeededRandomColoring(7, 3), None),
+        (PeriodicColoring([1, 1, 2, 1]), None),
+        (ExplicitColoring([2, 1, 2, 2, 1], 3), None),
     ]
 
 
@@ -924,7 +961,7 @@ def test_runlength_round_trip(every_kind, which):
         assert int(length) >= 1
     back = read_runlength(io.StringIO(text))
     assert back.palette == c.palette
-    assert back.window(n).colors[1:].tolist() == window(c, n).colors[1:].tolist()
+    assert back.window(n).colors[1:].tolist() == c.window(n).colors[1:].tolist()
 
 
 def test_runlength_round_trip_random():
@@ -932,9 +969,10 @@ def test_runlength_round_trip_random():
     for _ in range(20):
         k = rng.randint(2, 4)
         vals = tuple(rng.randint(1, k) for _ in range(rng.randint(1, 80)))
-        c = custom_coloring("explicit", values=vals, palette=k)
+        c = ExplicitColoring(vals, k)
         n = len(vals)
         buf = io.StringIO()
         write_runlength(c, n, buf)
         back = read_runlength(io.StringIO(buf.getvalue()))
+        assert back.palette == k
         assert [back.color(z) for z in range(1, n + 1)] == list(vals)

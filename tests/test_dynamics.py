@@ -1,42 +1,36 @@
 """Return sets, gap statistics, the dichotomy scan, and density profiles."""
 
-import io
 import random
-from fractions import Fraction
 
 import pytest
 
 from sumset_ramsey import (
     DomainError,
-    custom_coloring,
+    ExplicitColoring,
+    PeriodicColoring,
     density_profile,
     dichotomy_detect,
     max_gap,
     return_set,
 )
-from sumset_ramsey.dynamics import Word, read_word, word_from_coloring, write_word
+from sumset_ramsey.dynamics import word_from_coloring
 from sumset_ramsey.errors import WindowOverrun
+
+
+def _word(syms, k):
+    return ExplicitColoring(syms, k).window(len(syms))
 
 
 def _parity_word(n):
     # x(z) = 1 when z is even, 2 when odd
-    return Word.from_symbols(tuple(1 if z % 2 == 0 else 2 for z in range(1, n + 1)), 2)
-
-
-def test_word_basics():
-    w = Word.from_symbols((1, 2, 1, 2), 2)
-    assert w.n == 4
-    assert [w[i] for i in (1, 2, 3, 4)] == [1, 2, 1, 2]
-    with pytest.raises(WindowOverrun):
-        w[5]
-    with pytest.raises(WindowOverrun):
-        w[0]
+    return _word(tuple(1 if z % 2 == 0 else 2 for z in range(1, n + 1)), 2)
 
 
 def test_word_from_coloring():
-    c = custom_coloring("periodic", pattern="121")
+    c = PeriodicColoring([1, 2, 1])
     w = word_from_coloring(c, 9)
-    assert [w[i] for i in range(1, 10)] == [c.color(i) for i in range(1, 10)]
+    assert w.n == 9
+    assert w.colors[1:].tolist() == [c.color(i) for i in range(1, 10)]
     assert w.palette == c.palette
 
 
@@ -48,7 +42,7 @@ def test_return_set_parity_fixtures():
     rs = return_set(w, 1, 2, 1, 20)
     assert list(rs.elements) == list(range(2, 21, 2))
 
-    const = Word.from_symbols((1,) * 50, 2)
+    const = _word((1,) * 50, 2)
     rs = return_set(const, 1, 2, 0, 25)
     assert list(rs.elements) == list(range(1, 26))
 
@@ -74,7 +68,7 @@ def test_return_set_against_nested_loop():
     for _ in range(50):
         n = rng.randint(20, 120)
         k = rng.randint(2, 3)
-        w = Word.from_symbols(tuple(rng.randint(1, k) for _ in range(n)), k)
+        w = _word(tuple(rng.randint(1, k) for _ in range(n)), k)
         a = rng.randint(1, 3)
         b = rng.randint(a + 1, a + 3)
         h = rng.randint(0, 5)
@@ -82,7 +76,7 @@ def test_return_set_against_nested_loop():
         if M < 1:
             continue
         rs = return_set(w, a, b, h, M)
-        want = [m for m in range(1, M + 1) if w[h + a * m] == w[h + b * m]]
+        want = [m for m in range(1, M + 1) if w.colors[h + a * m] == w.colors[h + b * m]]
         assert list(rs.elements) == want
         assert rs.to_json()["count"] == len(want)
 
@@ -104,8 +98,8 @@ def test_max_gap_matches_scan():
 
 
 def test_dichotomy_fixed():
-    y = Word.from_symbols((1,) * 40, 2)
-    z = Word.from_symbols((2,) * 40, 2)
+    y = _word((1,) * 40, 2)
+    z = _word((2,) * 40, 2)
     assert dichotomy_detect(y, z, 1, 2, 5, 10) == 1
 
     w = _parity_word(40)
@@ -115,14 +109,14 @@ def test_dichotomy_fixed():
 def test_dichotomy_periodic_hit():
     # y has period 2, so y(d) = y(d + 2k) for every d; step a(b-a) = 2 when
     # a=1, b=3, and z constant 2 satisfies its side trivially
-    y = Word.from_symbols(tuple(1 if i % 2 == 1 else 2 for i in range(1, 101)), 2)
-    z = Word.from_symbols((2,) * 101, 2)
+    y = _word(tuple(1 if i % 2 == 1 else 2 for i in range(1, 101)), 2)
+    z = _word((2,) * 101, 2)
     d = dichotomy_detect(y, z, 1, 3, 10, 5)
     assert d == 1
-    assert y[1] != z[1]
+    assert y.colors[1] != z.colors[1]
     for k in range(1, 6):
-        assert y[1 + 2 * k] == y[1]
-        assert z[1 + 6 * k] == z[1]
+        assert y.colors[1 + 2 * k] == y.colors[1]
+        assert z.colors[1 + 6 * k] == z.colors[1]
 
 
 def test_dichotomy_against_direct_scan():
@@ -136,15 +130,15 @@ def test_dichotomy_against_direct_scan():
         ny = D + a * (b - a) * K
         nz = D + b * (b - a) * K
         k = 2
-        y = Word.from_symbols(tuple(rng.randint(1, k) for _ in range(ny)), k)
-        z = Word.from_symbols(tuple(rng.randint(1, k) for _ in range(nz)), k)
+        y = _word(tuple(rng.randint(1, k) for _ in range(ny)), k)
+        z = _word(tuple(rng.randint(1, k) for _ in range(nz)), k)
         got = dichotomy_detect(y, z, a, b, D, K)
         want = None
         for d in range(1, D + 1):
-            if y[d] == z[d]:
+            if y.colors[d] == z.colors[d]:
                 continue
-            if all(y[d + a * (b - a) * kk] == y[d] for kk in range(1, K + 1)) and all(
-                z[d + b * (b - a) * kk] == z[d] for kk in range(1, K + 1)
+            if all(y.colors[d + a * (b - a) * kk] == y.colors[d] for kk in range(1, K + 1)) and all(
+                z.colors[d + b * (b - a) * kk] == z.colors[d] for kk in range(1, K + 1)
             ):
                 want = d
                 break
@@ -157,20 +151,20 @@ def test_dichotomy_against_direct_scan():
 def test_dichotomy_window_requirements():
     # y needs D + a(b-a)K, z needs D + b(b-a)K
     a, b, D, K = 1, 2, 5, 4
-    y = Word.from_symbols((1,) * (D + a * (b - a) * K), 2)
-    z = Word.from_symbols((2,) * (D + b * (b - a) * K), 2)
+    y = _word((1,) * (D + a * (b - a) * K), 2)
+    z = _word((2,) * (D + b * (b - a) * K), 2)
     assert dichotomy_detect(y, z, a, b, D, K) == 1
-    short_z = Word.from_symbols((2,) * (D + b * (b - a) * K - 1), 2)
+    short_z = _word((2,) * (D + b * (b - a) * K - 1), 2)
     with pytest.raises(WindowOverrun):
         dichotomy_detect(y, short_z, a, b, D, K)
-    short_y = Word.from_symbols((1,) * (D + a * (b - a) * K - 1), 2)
+    short_y = _word((1,) * (D + a * (b - a) * K - 1), 2)
     with pytest.raises(WindowOverrun):
         dichotomy_detect(short_y, z, a, b, D, K)
 
 
 def test_dichotomy_domain_errors():
-    y = Word.from_symbols((1,) * 30, 2)
-    z = Word.from_symbols((2,) * 30, 2)
+    y = _word((1,) * 30, 2)
+    z = _word((2,) * 30, 2)
     with pytest.raises(DomainError):
         dichotomy_detect(y, z, 1, 2, 0, 3)
     with pytest.raises(DomainError):
@@ -218,16 +212,3 @@ def test_density_profile_bad_window():
         density_profile([1, 2], 10, [11])
     with pytest.raises(DomainError):
         density_profile([1, 2], 10, [0])
-
-
-def test_word_file_round_trip():
-    rng = random.Random(2717)
-    for _ in range(10):
-        k = rng.randint(2, 4)
-        syms = tuple(rng.randint(1, k) for _ in range(rng.randint(1, 60)))
-        w = Word.from_symbols(syms, k)
-        buf = io.StringIO()
-        write_word(w, buf)
-        back = read_word(io.StringIO(buf.getvalue()))
-        assert back.palette == k
-        assert [back[i] for i in range(1, len(syms) + 1)] == list(syms)

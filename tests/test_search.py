@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from sumset_ramsey import (
     Configuration,
     DomainError,
+    ExplicitColoring,
     NoConfiguration,
+    PeriodicColoring,
+    SeededRandomColoring,
     bad_set,
     bad_set_growth,
-    custom_coloring,
     exhaustive_search,
     gowers_threshold,
     greedy_search,
@@ -29,7 +31,6 @@ from sumset_ramsey import (
     survivor_set,
     triple_2coloring,
     verify_config,
-    window,
     write_runlength,
 )
 from sumset_ramsey.errors import EmptySet
@@ -43,7 +44,7 @@ PAR = (parse_poly("n"), parse_poly("3 n"))
 
 def _parity_coloring():
     # even -> 1, odd -> 2
-    return custom_coloring("periodic", pattern="21")
+    return PeriodicColoring([2, 1])
 
 
 def _mask_to_set(mask):
@@ -58,7 +59,7 @@ def _mask_to_set(mask):
 
 
 def test_verify_config_fixed():
-    const = custom_coloring("periodic", pattern="1")
+    const = PeriodicColoring([1])
     cfg = Configuration(B=(1, 2), C=(1, 3), polys=LIN, color=1)
     assert verify_config(const, cfg) == 1
 
@@ -77,16 +78,16 @@ def test_verify_config_rejects_mixed():
 
 
 def test_survivor_set_fixed():
-    evens = custom_coloring("periodic", pattern="21")
-    w = window(evens, 20)
+    evens = PeriodicColoring([2, 1])
+    w = evens.window(20)
     got = _mask_to_set(survivor_set(w, LIN, (2,), 1))
     assert got == set(range(2, 17, 2))
 
-    anyw = window(power_2coloring(1, 2), 30)
+    anyw = power_2coloring(1, 2).window(30)
     assert _mask_to_set(survivor_set(anyw, LIN, (), 1)) == set(range(1, 31))
 
-    single = custom_coloring("explicit", values=tuple(2 if z == 10 else 1 for z in range(1, 21)), palette=2)
-    w = window(single, 20)
+    single = ExplicitColoring(tuple(2 if z == 10 else 1 for z in range(1, 21)), 2)
+    w = single.window(20)
     got = _mask_to_set(survivor_set(w, (parse_poly("n"),), (3,), 2))
     assert got == {7}
 
@@ -96,8 +97,8 @@ def test_survivor_set_against_nested_loop():
     for _ in range(50):
         n = rng.randint(30, 200)
         k = rng.randint(2, 3)
-        c = custom_coloring("random", seed=rng.randint(0, 10**6), k=k)
-        w = window(c, n)
+        c = SeededRandomColoring(rng.randint(0, 10**6), k)
+        w = c.window(n)
         polys = tuple(
             parse_poly(t)
             for t in rng.sample(["n", "2 n", "3 n", "n^2", "n^2 + n"], rng.randint(2, 3))
@@ -124,27 +125,27 @@ def test_survivor_set_against_nested_loop():
 
 def test_greedy_search_fixed():
     parity = _parity_coloring()
-    cfg = greedy_search(window(parity, 50), PAR, r=2, maxC=10)
+    cfg = greedy_search(parity.window(50), PAR, r=2, maxC=10)
     assert len(cfg.C) >= 5
     assert verify_config(parity, cfg) == cfg.color
     assert len(cfg.B) == 2
 
-    const = custom_coloring("periodic", pattern="1")
-    cfg = greedy_search(window(const, 20), LIN, r=2, maxC=3)
+    const = PeriodicColoring([1])
+    cfg = greedy_search(const.window(20), LIN, r=2, maxC=3)
     assert len(cfg.C) == 3
     assert verify_config(const, cfg) == 1
 
-    alt = custom_coloring("periodic", pattern="12")
-    cfg = greedy_search(window(alt, 60), LIN, r=1, maxC=2)
+    alt = PeriodicColoring([1, 2])
+    cfg = greedy_search(alt.window(60), LIN, r=1, maxC=2)
     assert len(cfg.C) == 2
     assert verify_config(alt, cfg) == cfg.color
 
 
 def test_greedy_search_no_configuration():
     # colors 1 and 2 alternate; n and n+1 can never both be color 1 with C={1}
-    alt = custom_coloring("periodic", pattern="12")
+    alt = PeriodicColoring([1, 2])
     with pytest.raises(NoConfiguration):
-        greedy_search(window(alt, 6), (parse_poly("n"), parse_poly("2 n")), r=7, maxC=2)
+        greedy_search(alt.window(6), (parse_poly("n"), parse_poly("2 n")), r=7, maxC=2)
 
 
 def test_greedy_results_verify():
@@ -152,8 +153,8 @@ def test_greedy_results_verify():
     for _ in range(30):
         n = rng.randint(40, 150)
         k = rng.randint(2, 3)
-        c = custom_coloring("random", seed=rng.randint(0, 10**6), k=k)
-        w = window(c, n)
+        c = SeededRandomColoring(rng.randint(0, 10**6), k)
+        w = c.window(n)
         polys = tuple(parse_poly(t) for t in rng.sample(["n", "2 n", "3 n"], 2))
         try:
             cfg = greedy_search(w, polys, r=rng.randint(1, 3), maxC=4)
@@ -207,17 +208,11 @@ def _greedy_reference(w, polys, r, maxC, cap, steps=None):
 
 
 def _oracle_colorings():
-    random_kind = st.builds(
-        lambda seed, k: custom_coloring("random", seed=seed, k=k),
-        st.integers(0, 10**6), st.integers(2, 3),
-    )
-    periodic = st.builds(
-        lambda pat: custom_coloring("periodic", pattern=pat),
-        st.text(alphabet="123", min_size=1, max_size=12),
-    )
+    random_kind = st.builds(SeededRandomColoring, st.integers(0, 10**6), st.integers(2, 3))
+    periodic = st.builds(PeriodicColoring, st.lists(st.integers(1, 3), min_size=1, max_size=12))
     explicit = st.integers(2, 3).flatmap(
         lambda k: st.builds(
-            lambda vals: custom_coloring("explicit", values=vals, palette=k),
+            lambda vals: ExplicitColoring(vals, k),
             st.lists(st.integers(1, k), min_size=1, max_size=300),
         )
     )
@@ -235,11 +230,11 @@ def _oracle_colorings():
 )
 # a phase A step whose best count is exactly r
 @example(
-    coloring=custom_coloring("periodic", pattern="3223"), n=65,
+    coloring=PeriodicColoring([3, 2, 2, 3]), n=65,
     poly_text="n^3 - n,n^3 + 3n^2 + 2n", r=3, maxC=1, cap=7,
 )
 def test_greedy_matches_reference(coloring, n, poly_text, r, maxC, cap):
-    w = window(coloring, n)
+    w = coloring.window(n)
     polys = ORACLE_POLYS[poly_text]
     try:
         want = _greedy_reference(w, polys, r, maxC, cap)
@@ -334,7 +329,7 @@ def test_greedy_rescores_an_equal_bound_at_a_smaller_index(monkeypatch):
         return pick, best
 
     monkeypatch.setattr(search_module, "_lazy_argmax", spy)
-    w = window(custom_coloring("periodic", pattern="11112"), 1000)
+    w = PeriodicColoring([1, 1, 1, 1, 2]).window(1000)
     assert greedy_search(w, LIN, 3, 5, candidate_cap=16) == _greedy_reference(w, LIN, 3, 5, 16)
     assert any(seen)
 
@@ -384,7 +379,7 @@ def test_lazy_argmax_scores_an_equal_bound_at_a_smaller_index():
 @example(seed=1, n=63, color=1, shifts=[[1, 5, 7], [0, 3, 6]])
 def test_window_scorer_matches_shifted_mask(seed, n, color, shifts):
     # a candidate keeps b iff b + P(c) has the color, for each P; shifts are clipped as in the pool
-    w = window(custom_coloring("random", seed=seed, k=2), n)
+    w = SeededRandomColoring(seed, 2).window(n)
     pvals = [np.clip(np.array(sh, dtype=np.int64), -(n + 1), n + 1) for sh in shifts]
     scorer = search_module._Scorer(w, color, pvals)
     cols = w.colors.tolist()
@@ -396,8 +391,8 @@ def test_window_scorer_matches_shifted_mask(seed, n, color, shifts):
 @settings(max_examples=150, deadline=None)
 @given(
     coloring=st.one_of(
-        st.builds(lambda seed, k: custom_coloring("random", seed=seed, k=k), st.integers(0, 10**6), st.integers(2, 3)),
-        st.builds(lambda pat: custom_coloring("periodic", pattern=pat), st.text(alphabet="123", min_size=1, max_size=12)),
+        st.builds(SeededRandomColoring, st.integers(0, 10**6), st.integers(2, 3)),
+        st.builds(PeriodicColoring, st.lists(st.integers(1, 3), min_size=1, max_size=12)),
     ),
     n=st.integers(1, 1 << 12),
     poly_text=st.sampled_from(sorted(ORACLE_POLYS)),
@@ -407,7 +402,7 @@ def test_window_scorer_matches_shifted_mask(seed, n, color, shifts):
 def test_matrix_scorer_agrees_with_window_scorer(coloring, n, poly_text, cap, data):
     # after a prefix of C scored on the window, the survivor matrix over the
     # survivors left must count, filter and report them as the window does
-    w = window(coloring, n)
+    w = coloring.window(n)
     pool = _candidates(w, ORACLE_POLYS[poly_text], cap)
     if not pool.shape[0]:
         return
@@ -454,31 +449,31 @@ def test_greedy_output_pinned(spec, n):
 def test_candidates_match_brute_force(poly_text):
     # every c with all P(c) <= N lies below N + sum |coeffs| of any P
     polys = ORACLE_POLYS[poly_text]
-    const = custom_coloring("periodic", pattern="1")
+    const = PeriodicColoring([1])
     slack = max(sum(abs(c) for c in P.coeffs) for P in polys)
     for n in range(1, 201):
         want = [c for c in range(1, n + slack + 1) if all(P(c) <= n for P in polys)]
         for cap in (None, 7, 2048):
             step = math.ceil(len(want) / cap) if cap is not None and len(want) > cap else 1
-            assert _candidates(window(const, n), polys, cap).tolist() == want[::step]
+            assert _candidates(const.window(n), polys, cap).tolist() == want[::step]
     for n in (5000, 65536, 10**6):
         cs = np.arange(1, n + slack + 1, dtype=np.int64)
         want = cs[np.logical_and.reduce([P(cs) <= n for P in polys])]
         for cap in (None, 7, 2048):
             step = math.ceil(want.shape[0] / cap) if cap is not None and want.shape[0] > cap else 1
-            got = _candidates(window(const, n), polys, cap)
+            got = _candidates(const.window(n), polys, cap)
             assert got.dtype == np.int64
             assert np.array_equal(got, want[::step])
 
 
 def test_exhaustive_search_fixed():
-    const = custom_coloring("periodic", pattern="1")
-    cfg = exhaustive_search(window(const, 10), LIN, r=2, sizeC=2)
+    const = PeriodicColoring([1])
+    cfg = exhaustive_search(const.window(10), LIN, r=2, sizeC=2)
     assert cfg is not None
     assert verify_config(const, cfg) == 1
 
-    alt = custom_coloring("periodic", pattern="12")
-    got = exhaustive_search(window(alt, 30), LIN, r=2, sizeC=2)
+    alt = PeriodicColoring([1, 2])
+    got = exhaustive_search(alt.window(30), LIN, r=2, sizeC=2)
     if got is not None:
         assert verify_config(alt, got) == got.color
 
@@ -532,11 +527,11 @@ _EXHAUSTIVE_SHAPES = st.one_of(
     r=st.integers(1, 4),
 )
 # ties everywhere: the first C in lexicographic order and the smaller color win
-@example(coloring=custom_coloring("periodic", pattern="12"), shape=(64, 2), poly_text="n,2n", r=1)
-@example(coloring=custom_coloring("periodic", pattern="1"), shape=(120, 3), poly_text="n,3n", r=4)
+@example(coloring=PeriodicColoring([1, 2]), shape=(64, 2), poly_text="n,2n", r=1)
+@example(coloring=PeriodicColoring([1]), shape=(120, 3), poly_text="n,3n", r=4)
 def test_exhaustive_matches_reference(coloring, shape, poly_text, r):
     n, sizeC = shape
-    w = window(coloring, n)
+    w = coloring.window(n)
     polys = ORACLE_POLYS[poly_text]
     assert exhaustive_search(w, polys, r, sizeC) == _exhaustive_reference(w, polys, r, sizeC)
 
@@ -545,12 +540,12 @@ def test_exhaustive_matches_oracle():
     rng = random.Random(7007)
     for _ in range(50):
         n = rng.randint(15, 40)
-        c = custom_coloring("random", seed=rng.randint(0, 10**6), k=2)
+        c = SeededRandomColoring(rng.randint(0, 10**6), 2)
         polys = tuple(parse_poly(t) for t in rng.sample(["n", "2 n", "n^2"], 2))
         r = rng.randint(1, 2)
         sizeC = rng.randint(1, 2)
         want = _oracle_best(c, n, polys, r, sizeC)
-        got = exhaustive_search(window(c, n), polys, r=r, sizeC=sizeC)
+        got = exhaustive_search(c.window(n), polys, r=r, sizeC=sizeC)
         if want is None:
             assert got is None
         else:
@@ -563,8 +558,8 @@ def test_greedy_never_beats_exhaustive():
     rng = random.Random(888)
     for _ in range(20):
         n = rng.randint(15, 40)
-        c = custom_coloring("random", seed=rng.randint(0, 10**6), k=2)
-        w = window(c, n)
+        c = SeededRandomColoring(rng.randint(0, 10**6), 2)
+        w = c.window(n)
         polys = LIN
         r = rng.randint(1, 2)
         try:
@@ -580,7 +575,7 @@ def test_greedy_never_beats_exhaustive():
 
 
 def test_bad_set_fixed():
-    const = custom_coloring("periodic", pattern="1")
+    const = PeriodicColoring([1])
     S, rep = bad_set(const, 3, LIN, 1, 100)
     assert list(S) == list(range(1, 101))
     assert rep.count == 100
@@ -613,7 +608,7 @@ def test_bad_set_matches_enumeration():
     rng = random.Random(606)
     for _ in range(25):
         k = rng.randint(2, 3)
-        c = custom_coloring("random", seed=rng.randint(0, 10**6), k=k)
+        c = SeededRandomColoring(rng.randint(0, 10**6), k)
         n = rng.randint(1, 30)
         color = rng.randint(1, k)
         M = rng.randint(10, 400)
@@ -634,7 +629,7 @@ def test_bad_sets_partition_agreements():
     # set of m where both polynomial images share a color
     rng = random.Random(41)
     for _ in range(10):
-        c = custom_coloring("random", seed=rng.randint(0, 10**6), k=2)
+        c = SeededRandomColoring(rng.randint(0, 10**6), 2)
         n = rng.randint(1, 20)
         M = 300
         s1, _ = bad_set(c, n, LIN, 1, M)
@@ -728,11 +723,11 @@ def test_bad_set_bisection_matches_dense_pass(spec, texts, n, M, color_draw):
 
 def _hits_colorings():
     buf = io.StringIO()
-    write_runlength(custom_coloring("random", seed=4, k=3), 300, buf)
+    write_runlength(SeededRandomColoring(4, 3), 300, buf)
     return [
-        custom_coloring("random", seed=9, k=3),
-        custom_coloring("periodic", pattern="1121"),
-        custom_coloring("explicit", values=(2, 1, 2, 2, 1), palette=2),
+        SeededRandomColoring(9, 3),
+        PeriodicColoring([1, 1, 2, 1]),
+        ExplicitColoring((2, 1, 2, 2, 1), 2),
         read_runlength(io.StringIO(buf.getvalue())),
     ]
 
@@ -770,7 +765,7 @@ def test_hits_int64_and_object_paths_match_scalar(which, text, n, head, tail, co
 
 
 def test_bad_set_growth_matches_bad_set():
-    c = custom_coloring("random", seed=17, k=2)
+    c = SeededRandomColoring(17, 2)
     horizons = [50, 100, 200, 400]
     rows = bad_set_growth(c, 5, LIN, 1, horizons)
     assert [row[0] for row in rows] == horizons
@@ -880,8 +875,8 @@ def test_gowers_threshold_domain():
 
 
 def test_configuration_json_shape():
-    const = custom_coloring("periodic", pattern="1")
-    cfg = greedy_search(window(const, 20), LIN, r=2, maxC=3)
+    const = PeriodicColoring([1])
+    cfg = greedy_search(const.window(20), LIN, r=2, maxC=3)
     doc = cfg.to_json(20)
     assert doc["B"] == list(cfg.B)
     assert doc["C"] == list(cfg.C)
