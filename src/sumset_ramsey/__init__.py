@@ -69,7 +69,6 @@ from .witness import (
     WitnessParams,
     build_witness,
     check_sumset_identity,
-    parse_witness_params,
     witness_values,
 )
 from .cli import parse_coloring_spec
@@ -116,7 +115,6 @@ __all__ = [
     "max_gap",
     "parse_coloring_spec",
     "parse_poly",
-    "parse_witness_params",
     "power_2coloring",
     "psi_eval",
     "psi_profile",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -139,6 +140,16 @@ _SIGNATURES: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], 
 _KINDS = (*_SIGNATURES, "file")
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; a non-ASCII byte is a ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte {data[exc.start]:#04x} at offset {exc.start} of {path}") from None
+
+
 def parse_coloring_spec(s: str, default_seed: int = 0) -> Coloring:
     """Resolve a coloring descriptor to a coloring instance."""
     text = s.strip()
@@ -156,8 +167,7 @@ def parse_coloring_spec(s: str, default_seed: int = 0) -> Coloring:
             raise ParseError("file spec takes no parameters", s, len(kind))
         if not at or not path:
             raise ParseError("file spec needs @path", s, len(head))
-        with open(path, "r", encoding="ascii") as fh:
-            return read_runlength(fh, descriptor=f"file@{path}")
+        return read_runlength(io.StringIO(_read_text(path)), descriptor=f"file@{path}")
     positional, allowed, required, build = _SIGNATURES[kind]
     base = len(kind) + 1
     pos_args, named = _split_params(params, s, base)
@@ -283,8 +293,7 @@ def _set_arg(args) -> set[int]:
     if getattr(args, "set", None):
         return set(_ints_arg(args.set, "--set"))
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="ascii") as fh:
-            return {_int_tok(t, args.file) for t in fh.read().split()}
+        return {_int_tok(t, args.file) for t in _read_text(args.file).split()}
     raise ParseError("need --set or --file", "", None)
 
 
@@ -376,8 +385,6 @@ def _cmd_audit(args, out: IO[str], err: IO[str]) -> int:
             raise ParseError("audit needs --n-max (or --growth with --n and --color)", "", None)
         if args.M is None:
             raise ParseError("audit needs --M", "", None)
-        # reports run serially: colorings extend their breakpoints and level
-        # sets lazily, so --threads is only a hint, as it is for search
         colors = [args.color] if args.color is not None else range(1, c.palette + 1)
         reports = [
             bad_set(c, n, polys, i, args.M)[1]
@@ -565,12 +572,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["greedy", "exhaustive"], default="greedy")
     p.add_argument("--sizeC", type=_positive_int)
     p.add_argument("--candidate-cap", dest="candidate_cap", type=_positive_int)
-    p.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="worker hint; results never depend on it",
-    )
     _add_seed(p)
     _add_out(p)
     p.set_defaults(handler=_cmd_search)
@@ -583,12 +584,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--color", type=_positive_int)
     p.add_argument("--M", type=_positive_int)
     p.add_argument("--growth", help="comma-separated horizons for a growth curve")
-    p.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="worker hint; results never depend on it",
-    )
     _add_seed(p)
     _add_out(p)
     p.set_defaults(handler=_cmd_audit)

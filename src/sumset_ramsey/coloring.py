@@ -11,8 +11,9 @@ Three families are built in:
   (built from a base level a0 and the iterates a_{n+1} = psi(a_n)).
 
 Each of them is a ``BreakpointColoring``: its color is constant between
-consecutive integer breakpoints, which a generator yields in order.  The
-custom kinds (explicit, periodic, seeded random) color position by position.
+consecutive integer breakpoints, which a generator yields in order.  So are
+explicit streams and run-length files, whose generator stops after their last
+run.  The periodic and seeded random kinds color position by position.
 
 All membership decisions at integers are exact: rational boundaries are
 compared via integer cross-multiplication (ceil of a Fraction), polynomial
@@ -230,7 +231,8 @@ class BreakpointColoring(Coloring):
     holds from breakpoint i up to the next one; positions below the first
     breakpoint get ``below``.  Equal breakpoints collapse into one, which
     takes the color of the last of them, so a run equal to the last stored
-    breakpoint recolors that breakpoint's segment.
+    breakpoint recolors that breakpoint's segment.  A generator that stops
+    leaves its last color for good.
 
     The breakpoints are stored once: an int64 array up to 2^63 - 1, then a
     list of the Python ints past it.
@@ -245,36 +247,50 @@ class BreakpointColoring(Coloring):
         self._table = np.array([below], dtype=np.uint8)
         self._bp64 = np.zeros(0, dtype=np.int64)
         self._tail: list[int] = []
-        self._last: int | None = None
+        # the largest breakpoint taken, math.inf once the generator stops
+        self._last: int | float | None = None
 
     def _extend(self, z: int) -> None:
-        """Take blocks from the generator until a breakpoint passes z."""
+        """Take blocks from the generator until a breakpoint passes z; more
+        than ``window_cap()`` breakpoints in all raise DomainError."""
         last = self._last
         if last is not None and last > z:
             return
+        cap = window_cap()
+        held = self._table.shape[0] - 1
         bps_blocks: list[np.ndarray] = []
         col_blocks: list[np.ndarray] = []
-        while last is None or last <= z:
-            bps, cols = next(self._gen)
+        for bps, cols in self._gen:
             if len(bps):
                 if not (isinstance(bps, np.ndarray) and bps.dtype == np.int64):
                     bps = np.array(bps, dtype=object)
                 bps_blocks.append(bps)
                 col_blocks.append(np.asarray(cols, dtype=np.uint8))
+                held += len(bps)
                 last = int(bps[-1])
-        bps, cols = np.concatenate(bps_blocks), np.concatenate(col_blocks)
-        if bool((bps[1:] < bps[:-1]).any()) or (self._last is not None and int(bps[0]) < self._last):
-            raise DomainError("breakpoint generator went backwards")
-        keep = np.append(bps[1:] != bps[:-1], True)
-        bps, cols = bps[keep], cols[keep]
-        if self._last is not None and int(bps[0]) == self._last:
-            self._table[-1] = cols[0]
-            bps, cols = bps[1:], cols[1:]
-        fit = bps.shape[0] if bps.dtype == np.int64 else int(np.count_nonzero(bps <= _I64_MAX))
-        self._bp64 = np.concatenate((self._bp64, bps[:fit].astype(np.int64)))
-        self._tail.extend(bps[fit:].tolist())
-        self._table = np.concatenate((self._table, cols))
+                if last > z or held > cap:
+                    break
+        else:
+            last = math.inf
+        if bps_blocks:
+            bps, cols = np.concatenate(bps_blocks), np.concatenate(col_blocks)
+            if bool((bps[1:] < bps[:-1]).any()) or (self._last is not None and int(bps[0]) < self._last):
+                raise DomainError("breakpoint generator went backwards")
+            keep = np.append(bps[1:] != bps[:-1], True)
+            bps, cols = bps[keep], cols[keep]
+            if self._last is not None and int(bps[0]) == self._last:
+                self._table[-1] = cols[0]
+                bps, cols = bps[1:], cols[1:]
+            fit = bps.shape[0] if bps.dtype == np.int64 else int(np.count_nonzero(bps <= _I64_MAX))
+            self._bp64 = np.concatenate((self._bp64, bps[:fit].astype(np.int64)))
+            self._tail.extend(bps[fit:].tolist())
+            self._table = np.concatenate((self._table, cols))
         self._last = last
+        if held > cap:
+            raise DomainError(
+                f"{self.descriptor} needs more than {cap} breakpoints; "
+                f"raise {WINDOW_CAP_ENV} to allow it"
+            )
 
     def _rank(self, z: int) -> int:
         """Number of breakpoints <= z."""
@@ -319,6 +335,14 @@ class BreakpointColoring(Coloring):
         n64 = self._bp64.shape[0]
         cuts = self._bp64[i:j].tolist() + self._tail[max(i - n64, 0) : max(j - n64, 0)]
         return np.array(starts + cuts, dtype=object), colors
+
+    def runs(self, n: int) -> Iterator[tuple[int, int]]:
+        """Run-length pairs (color, length) covering [1, n], from the breakpoints."""
+        starts, colors = self.segments(1, n)
+        new = np.append(True, colors[1:] != colors[:-1])
+        bounds = starts[new].tolist() + [n + 1]
+        for i, color in enumerate(colors[new].tolist()):
+            yield color, bounds[i + 1] - bounds[i]
 
 
 def _interval_gen(points: Callable[[int], Iterable[tuple[Fraction, int]]]) -> Iterator[Block]:
@@ -532,32 +556,32 @@ class PeriodicColoring(Coloring):
         return self._arr[(zs - 1) % len(self.pattern)]
 
 
-class ExplicitColoring(Coloring):
+def _run_blocks(starts: Sequence[int], colors: Sequence[int], end: int) -> Iterator[Block]:
+    """A finite stream as one block: run i from starts[i] on has colors[i],
+    and color 1 holds from end on."""
+    bps = [*starts, end]
+    yield (np.array(bps, dtype=np.int64) if end <= _I64_MAX else bps), [*colors, 1]
+
+
+class ExplicitColoring(BreakpointColoring):
     """Coloring from an explicit finite stream; positions beyond it get color 1."""
 
-    def __init__(self, values: Sequence[int], palette: int | None = None, descriptor: str | None = None):
+    def __init__(self, values: Sequence[int], palette: int | None = None):
         vals = [int(v) for v in values]
         if not vals:
             raise EmptyPattern("explicit color stream is empty")
         if min(vals) < 1:
             raise BadParams("colors start at 1")
-        self.palette = _check_palette(int(palette) if palette is not None else max(2, max(vals)))
-        if max(vals) > self.palette:
+        palette = _check_palette(int(palette) if palette is not None else max(2, max(vals)))
+        if max(vals) > palette:
             raise BadParams("stream color exceeds palette")
-        self.values = np.array(vals, dtype=np.uint8)
-        self.descriptor = descriptor or ("explicit:" + ("".join(str(v) for v in vals) if max(vals) <= 9 else "-".join(str(v) for v in vals)))
+        arr = np.array(vals, dtype=np.uint8)
+        starts = np.flatnonzero(np.append(True, arr[1:] != arr[:-1]))
+        desc = "explicit:" + ("".join(map(str, vals)) if max(vals) <= 9 else "-".join(map(str, vals)))
+        super().__init__(palette, 1, _run_blocks(starts + 1, arr[starts], len(vals) + 1), desc)
 
-    def color(self, n: int) -> int:
-        if n < 1:
-            raise DomainError(f"positions start at 1, got {n}")
-        return int(self.values[n - 1]) if n <= len(self.values) else 1
-
-    @_int64_kernel
-    def colors_at(self, zs: np.ndarray) -> np.ndarray:
-        out = np.ones(zs.shape[0], dtype=np.uint8)
-        inside = zs <= len(self.values)
-        out[inside] = self.values[zs[inside] - 1]
-        return out
+    # kept in the class dict: perfbench's span table names this method
+    colors_at = BreakpointColoring.colors_at
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +604,8 @@ def _int_tok(tok: str, text: str, pos: int | None = None) -> int:
         raise ParseError(f"expected integer, got {tok.strip()!r}", text, pos) from None
 
 
-def read_runlength(stream: TextIO, descriptor: str = "file@<stream>") -> ExplicitColoring:
-    """Parse the run-length format back into an explicit coloring."""
+def read_runlength(stream: TextIO, descriptor: str = "file@<stream>") -> BreakpointColoring:
+    """Parse the run-length format into a coloring; color 1 holds past its runs."""
     lines = [ln.strip() for ln in stream if ln.strip()]
     if len(lines) < 3:
         raise ParseError("run-length input needs a header and at least one run")
@@ -591,7 +615,8 @@ def read_runlength(stream: TextIO, descriptor: str = "file@<stream>") -> Explici
     palette = _check_palette(_int_tok(head[1], lines[0]))
     if lines[1].split() != ["start", "1"]:
         raise ParseError(f"expected 'start 1', got {lines[1]!r}")
-    chunks: list[np.ndarray] = []
+    colors: list[int] = []
+    starts = [1]
     for ln in lines[2:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -601,8 +626,9 @@ def read_runlength(stream: TextIO, descriptor: str = "file@<stream>") -> Explici
             raise ParseError(f"run color {color} outside palette 1..{palette}")
         if length < 1:
             raise ParseError(f"run length must be positive, got {length}")
-        chunks.append(np.full(length, color, dtype=np.uint8))
-    return ExplicitColoring(np.concatenate(chunks), palette, descriptor)
+        colors.append(color)
+        starts.append(starts[-1] + length)
+    return BreakpointColoring(palette, 1, _run_blocks(starts[:-1], colors, starts[-1]), descriptor)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coloring import ColorWindow, Coloring
+from .coloring import WINDOW_CAP_ENV, ColorWindow, Coloring, window_cap
 from .errors import BadPair, DomainError, WindowOverrun
 
 __all__ = [
@@ -120,6 +120,9 @@ def density_profile(
     S: Iterable[int], M: int, window_sizes: Sequence[int]
 ) -> list[tuple[int, float]]:
     """Per window size W, the maximum of |S ∩ (t, t+W]| / W over 0 <= t <= M-W."""
+    cap = window_cap()
+    if M > cap:
+        raise DomainError(f"horizon {M} exceeds cap {cap}; raise {WINDOW_CAP_ENV} to allow it")
     sizes = [int(w) for w in window_sizes]
     for w in sizes:
         if not 1 <= w <= M:

@@ -17,13 +17,11 @@ from .errors import (
     BadParams,
     DivisibilityError,
     NonPositiveElement,
-    ParseError,
 )
 
 __all__ = [
     "VARIANTS",
     "WitnessParams",
-    "parse_witness_params",
     "build_witness",
     "witness_values",
     "check_sumset_identity",
@@ -167,63 +165,6 @@ class WitnessParams:
     def e_chain_checked(self) -> bool:
         """True when CaseI received (d, k) pairs so the E chain is enforced."""
         return self.variant == "CaseI" and bool(self.pairs)
-
-
-_INT_KEYS = {
-    "a": "a",
-    "b": "b",
-    "r": "r",
-    "dtilde": "d_tilde",
-    "s": "s",
-    "t": "t",
-    "e": "E",
-    "j": "j",
-    "beta": "beta",
-    "l0": "L0",
-    "xi": "xi",
-    "alpha": "alpha",
-}
-_LIST_KEYS = {"d": "d_values", "v": "v_values", "offsets": "offsets"}
-
-
-def parse_witness_params(text: str) -> WitnessParams:
-    """Parse "variant:key=value,..." with dash-joined lists (d=10-20) and
-    colon-joined pairs (pairs=100:3-200:5)."""
-    head, _, rest = text.partition(":")
-    kind = head.strip()
-    if kind.lower() not in _CANON:
-        raise ParseError(f"unknown witness variant {kind!r}", text, 0)
-    fields: dict = {}
-    pos = len(head) + 1
-    tokens = rest.split(",") if rest else []
-    for tok in tokens:
-        if "=" not in tok:
-            raise ParseError("expected key=value", text, pos)
-        key, _, val = tok.partition("=")
-        key = key.strip().lower()
-        val = val.strip()
-        try:
-            if key in _LIST_KEYS:
-                fields[_LIST_KEYS[key]] = tuple(int(x) for x in val.split("-"))
-            elif key == "pairs":
-                prs = []
-                for item in val.split("-"):
-                    dd, sep, kk = item.partition(":")
-                    if not sep:
-                        raise ValueError(item)
-                    prs.append((int(dd), int(kk)))
-                fields["pairs"] = tuple(prs)
-            elif key in _INT_KEYS:
-                fields[_INT_KEYS[key]] = int(val)
-            else:
-                raise ParseError(f"unknown key {key!r}", text, pos)
-        except ValueError as exc:
-            raise ParseError(f"bad value for {key!r}: {val!r}", text, pos) from exc
-        pos += len(tok) + 1
-    try:
-        return WitnessParams(variant=kind, **fields)
-    except TypeError as exc:
-        raise ParseError(str(exc), text, 0) from exc
 
 
 def witness_values(p: WitnessParams) -> tuple[int, ...]:

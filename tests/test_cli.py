@@ -226,19 +226,6 @@ def test_audit_sweep_json():
             assert rep["max_element"] <= rep["M"] // 2
 
 
-def test_audit_threads_deterministic():
-    base = _run(
-        "audit", "--coloring", "geo3:1,2", "--polys", "n,2n",
-        "--n-max", "6", "--M", "20000",
-    )
-    threaded = _run(
-        "audit", "--coloring", "geo3:1,2", "--polys", "n,2n",
-        "--n-max", "6", "--M", "20000", "--threads", "4",
-    )
-    assert base[0] == threaded[0] == 0
-    assert base[1] == threaded[1]
-
-
 def test_audit_growth_csv():
     code, out, err = _run(
         "audit", "--coloring", "triple:1,2,3", "--polys", "n,2n,3n",
@@ -267,11 +254,11 @@ def test_ap_from_file(tmp_path):
     assert json.loads(out)["length"] == 4
 
 
-def _file_error(code, out, err):
+def _file_error(code, out, err, message="expected integer"):
     assert (code, out) == (2, "")
     obj = _validated(err)
     assert obj["error"] == "ParseError"
-    assert "expected integer" in obj["message"]
+    assert message in obj["message"]
 
 
 def test_ap_file_non_integer(tmp_path):
@@ -294,6 +281,33 @@ def test_color_runlength_file_non_integer(tmp_path, text):
     path = tmp_path / "c.rl"
     path.write_text(text)
     _file_error(*_run("color", "--coloring", f"file@{path}", "--N", "3"))
+
+
+# one argv per command that reads an input file, with {} for the path
+FILE_READERS = [
+    ("ap", "--file", "{}"),
+    ("color", "--coloring", "file@{}", "--N", "3"),
+    ("dynamics", "--op", "density", "--file", "{}", "--M", "10", "--window-sizes", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", FILE_READERS, ids=[a[0] for a in FILE_READERS])
+def test_file_non_ascii_byte(tmp_path, argv):
+    path = tmp_path / "in.txt"
+    path.write_bytes("palette 2\nstart 1\n1 3 \u00e9\n".encode("utf-8"))
+    _file_error(*_run(*(a.format(path) for a in argv)), message="non-ASCII byte 0xc3 at offset 22")
+
+
+def test_dynamics_density_horizon_past_cap():
+    # the profile holds M + 1 counters, so M is held to the window cap
+    code, out, err = _run(
+        "dynamics", "--op", "density", "--set", "1,2,3",
+        "--M", "100000000000", "--window-sizes", "2",
+    )
+    assert (code, out) == (1, "")
+    obj = _validated(err)
+    assert obj["error"] == "DomainError"
+    assert "SUMSET_RAMSEY_NMAX" in obj["message"]
 
 
 def test_color_palette_above_255_exit():
@@ -488,26 +502,33 @@ def test_json_outputs_byte_identical():
         assert a[0] == 0
 
 
-def test_env_window_cap(tmp_path):
-    # SUMSET_RAMSEY_NMAX trims how far windows may materialize
+def _color_under_cap(spec, n):
     env = dict(os.environ, SUMSET_RAMSEY_NMAX="1000")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sumset_ramsey", "color", "--coloring",
-         "power2:1,2", "--N", "500", "--out", "json"],
+    return subprocess.run(
+        [sys.executable, "-m", "sumset_ramsey", "color", "--coloring", spec, "--N", str(n), "--out", "json"],
         capture_output=True, text=True, env=env,
     )
-    assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["N"] == 500
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "sumset_ramsey", "color", "--coloring",
-         "power2:1,2", "--N", "5000", "--out", "json"],
-        capture_output=True, text=True, env=env,
-    )
+
+def test_env_window_cap(tmp_path):
+    # SUMSET_RAMSEY_NMAX trims how far windows materialize and how many
+    # breakpoints a coloring may hold; power2 holds 12 up to 5000
+    for n in (500, 5000):
+        proc = _color_under_cap("power2:1,2", n)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["N"] == n
+
+    # a window kind pays one byte per position
+    proc = _color_under_cap("random:k=2", 5000)
     assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "DomainError"
+
+    # case2 has about 2 sqrt(N) breakpoints below N
+    proc = _color_under_cap("case2:P=n^2,Q=n^2+n", 10**8)
+    assert (proc.returncode, proc.stdout) == (1, "")
     obj = json.loads(proc.stderr)
     assert obj["error"] == "DomainError"
+    assert "1000 breakpoints" in obj["message"] and "SUMSET_RAMSEY_NMAX" in obj["message"]
 
 
 def test_import_leaves_sympy_out():
@@ -571,9 +592,9 @@ PINNED_OUTPUTS = [
     ('audit --coloring triple:1,2,3 --polys n,2n,3n --n-max 2 --M 1000', 0,
      '[{"n": 1, "color": 1, "count": 4, "max_element": 4, "M": 1000, "stabilized": true}, {"n": 1, "color": 2, "count": 0, "M": 1000, "stabilized": true}, {"n": 2, "color": 1, "count": 4, "max_element": 4, "M": 1000, "stabilized": true}, {"n": 2, "color": 2, "count": 0, "M": 1000, "stabilized": true}]\n',
      ''),
-    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n-max 2 --M 1000 --threads 2', 0,
-     '[{"n": 1, "color": 1, "count": 4, "max_element": 4, "M": 1000, "stabilized": true}, {"n": 1, "color": 2, "count": 0, "M": 1000, "stabilized": true}, {"n": 2, "color": 1, "count": 4, "max_element": 4, "M": 1000, "stabilized": true}, {"n": 2, "color": 2, "count": 0, "M": 1000, "stabilized": true}]\n',
-     ''),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n-max 2 --M 1000 --threads 2', 2,
+     '',
+     '{"error": "ParseError", "message": "sumset-ramsey: unrecognized arguments: --threads 2", "text": "", "pos": null}\n'),
     ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 1 --growth 2,10,1000 --out json', 0,
      '[{"M": 2, "count": 2, "max_element": 2}, {"M": 10, "count": 4, "max_element": 4}, {"M": 1000, "count": 4, "max_element": 4}]\n',
      ''),

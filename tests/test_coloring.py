@@ -945,6 +945,85 @@ def test_runs_reconstruct_colors():
         prev = color
 
 
+def _window_runs(c, n):
+    colors = c.window(n).colors[1:].tolist()
+    return [(color, len(list(group))) for color, group in itertools.groupby(colors)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.integers(0, 8),
+    n=st.integers(1, 2**12),
+    file_runs=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 300)), min_size=1, max_size=12),
+)
+@example(which=8, n=2**12, file_runs=[(2, 1), (1, 1)])
+def test_runs_match_window(every_kind, which, n, file_runs):
+    # kind 8 is a run-length file, which may repeat a color on adjacent lines
+    if which == 8:
+        text = "palette 3\nstart 1\n" + "".join(f"{col} {length}\n" for col, length in file_runs)
+        c = read_runlength(io.StringIO(text))
+    else:
+        c = every_kind[which]
+    assert list(c.runs(n)) == _window_runs(c, n)
+
+
+@pytest.mark.parametrize("n", [10**12, 10**30])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: power_2coloring(1, 2),
+        lambda: triple_2coloring(1, 2, 3),
+        lambda: geometric_3coloring(1, 2),
+        lambda: recursive_log_coloring(N2, N3, a0=15, window_n=10**4),
+    ],
+    ids=["power2", "triple", "geo3", "recursive"],
+)
+def test_runs_past_window_cap(make, n):
+    # N far past the window cap: the runs come from the breakpoints alone
+    c = make()
+    runs = list(c.runs(n))
+    assert sum(length for _, length in runs) == n
+    assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+    first = 1
+    for color, length in runs:
+        assert c.color(first) == c.color(first + length - 1) == color
+        first += length
+
+
+def test_explicit_runs_merge_into_tail():
+    # a stream ending in color 1 runs on into the fallback color
+    c = ExplicitColoring([2, 1])
+    assert list(c.runs(5)) == [(2, 1), (1, 4)]
+    assert list(ExplicitColoring([1, 1, 2, 1]).runs(6)) == [(1, 2), (2, 1), (1, 3)]
+
+
+def test_runlength_lengths_past_int64():
+    text = f"palette 3\nstart 1\n2 {2**63}\n3 {2**64}\n2 5\n"
+    c = read_runlength(io.StringIO(text))
+    ends = [2**63, 2**63 + 2**64, 2**63 + 2**64 + 5]
+    zs = [1, ends[0], ends[0] + 1, ends[1], ends[1] + 1, ends[2], ends[2] + 1, 10**30]
+    want = [2, 2, 3, 3, 2, 2, 1, 1]
+    assert [c.color(z) for z in zs] == want
+    assert c.colors_at(zs).tolist() == want
+    assert c.colors_at(np.array(zs, dtype=object)).tolist() == want
+    assert list(c.runs(10**30)) == [(2, 2**63), (3, 2**64), (2, 5), (1, 10**30 - ends[2])]
+
+
+def test_breakpoint_cap_boundary(monkeypatch):
+    # an alternating stream of length L holds L run starts plus its end
+    monkeypatch.setenv("SUMSET_RAMSEY_NMAX", "10")
+    c = ExplicitColoring([1, 2] * 4 + [1])
+    assert c.color(100) == 1
+    assert list(c.runs(100))[-1] == (1, 92)
+    with pytest.raises(DomainError, match="more than 10 breakpoints.*SUMSET_RAMSEY_NMAX"):
+        ExplicitColoring([1, 2] * 5).color(1)
+    c = power_2coloring(1, 2)
+    # breakpoints 4, 8, ..., 2^11: the tenth is the first past 2^11 - 1
+    assert c.color(2**11 - 1) == 1
+    with pytest.raises(DomainError, match="more than 10 breakpoints"):
+        c.color(2**11)
+
+
 @pytest.mark.parametrize("which", range(8))
 def test_runlength_round_trip(every_kind, which):
     c = every_kind[which]

@@ -212,3 +212,11 @@ def test_density_profile_bad_window():
         density_profile([1, 2], 10, [11])
     with pytest.raises(DomainError):
         density_profile([1, 2], 10, [0])
+
+
+def test_density_profile_horizon_cap(monkeypatch):
+    # M + 1 counters: M may reach the window cap and no further
+    monkeypatch.setenv("SUMSET_RAMSEY_NMAX", "100")
+    assert density_profile([1, 2], 100, [2]) == [(2, 1.0)]
+    with pytest.raises(DomainError, match="cap 100.*SUMSET_RAMSEY_NMAX"):
+        density_profile([1, 2], 101, [2])

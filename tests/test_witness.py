@@ -9,7 +9,6 @@ from sumset_ramsey import (
     WitnessParams,
     build_witness,
     check_sumset_identity,
-    parse_witness_params,
     witness_values,
 )
 from sumset_ramsey.errors import BadParams, DivisibilityError, NonPositiveElement
@@ -142,6 +141,9 @@ def test_common_validation():
         WitnessParams(variant="StepI", a=1, b=2, r=1, d_tilde=-1, s=1, t=1, d_values=(9,))
     with pytest.raises((BadParams, ParseError)):
         WitnessParams(variant="StepX", a=1, b=2, r=1, s=1, t=1, d_values=(9,))
+    with pytest.raises(BadParams):
+        # the variant's own parameters are missing
+        WitnessParams(variant="StepI", a=1, b=2, r=2)
 
 
 def test_sizes():
@@ -254,31 +256,3 @@ def test_random_draws_pass_identity():
             assert all(x >= 1 for x in B)
             assert all(x >= 1 for x in C)
             done += 1
-
-
-def test_parse_round_trip():
-    cases = [
-        "stepi:a=1,b=2,r=2,s=1,t=1,d=10-20",
-        "casei:a=1,b=2,r=2,e=2,v=100",
-        "casei:a=1,b=2,r=2,e=2,pairs=10:1-12:2",
-        "situationi:a=1,b=2,r=2,j=1,beta=1,l0=3,offsets=1-2,v=30",
-        "situationii:a=1,b=2,r=2,xi=23,alpha=3,beta=1,l0=2,v=40",
-    ]
-    for text in cases:
-        p = parse_witness_params(text)
-        B, C = build_witness(p)
-        assert check_sumset_identity(p, B, C)
-
-
-def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_witness_params("nosuch:a=1")
-    with pytest.raises(ParseError):
-        parse_witness_params("stepi:a")
-    with pytest.raises(ParseError):
-        parse_witness_params("stepi:a=x")
-    with pytest.raises(ParseError):
-        parse_witness_params("stepi:zz=3")
-    with pytest.raises(BadParams):
-        # syntactically fine but missing the variant payload
-        parse_witness_params("stepi:a=1,b=2,r=2")
