@@ -443,21 +443,65 @@ def _to_mpf(t) -> mpmath.mpf:
     return mpmath.mpf(t)
 
 
+def _p_below(cs: Sequence[int], X: int, s: int, t_mpf: mpmath.mpf) -> bool:
+    """``_eval_coeffs(cs, x) < t_mpf`` in mpf at the working precision, x = X / 2^s.
+
+    x must be exact there (X < 2^prec) and t finite; d = len(cs) - 1.
+    Integer Horner gives V = cs(x) 2^(s d) exactly and
+    S = sum |c_i| X^i 2^(s (d - i)) in the same scale.  mpf Horner rounds at
+    most 2d + 1 times, each by a relative 2^-prec, so its error is under
+    (2d + 2) S 2^-prec.  When V is farther than twice that from t, the exact
+    answer is the mpf one; otherwise the mpf evaluation is replayed.
+    """
+    v = size = k = 0  # c_i enters scaled by 2^k, k = s (d - i)
+    for c in reversed(cs):
+        if c:
+            v = v * X + (c << k)
+            size = size * X + (abs(c) << k)
+        else:
+            v *= X
+            size *= X
+        k += s
+    d = len(cs) - 1
+    sign, man, exp, _ = t_mpf._mpf_
+    e = exp + s * d  # t = (-1)^sign man 2^exp, in V's scale
+    if e >= 0:
+        gap = v - ((-man if sign else man) << e)
+    else:
+        gap = (v << -e) - (-man if sign else man)
+        size <<= -e
+    if abs(gap) << mpmath.mp.prec > (4 * d + 4) * size:
+        return gap < 0
+    return _eval_coeffs(cs, mpmath.ldexp(mpmath.mpf(X), -s)) < t_mpf
+
+
 def _invert_p(P: IntPolynomial, t_mpf: mpmath.mpf, lo: int) -> mpmath.mpf:
-    """Solve P(x) = t on the increasing branch (lo, oo): bisection then Newton."""
+    """Solve P(x) = t on the increasing branch (lo, oo): bisection then Newton.
+
+    The bracket lives on integers: hi doubles from lo + 1 while P(hi) < t, and
+    the 48 bisection midpoints are M / 2^48 with M = (L + R) >> 1 between
+    L = lo 2^48 and R = hi 2^48.  Each test P(mid) < t is ``_p_below``: exact
+    unless P(mid) lies within mpf Horner's rounding bound of t, where the mpf
+    evaluation is replayed.  So every decision, and Newton's start
+    x = (L + R) / 2^49, is what mpf bisection at the working precision gives:
+    its sums L + R are exact there, because P has no constant term, so
+    t > P(a*) >= a* (P(a*)/a* is a positive integer), hence hi <= 4t, and the
+    working precision has at least 96 bits more than t.  Newton runs in mpf.
+    """
     mp = mpmath.mp
-    lo_f = mpmath.mpf(lo)
-    hi = mpmath.mpf(lo + 1)
-    while P(hi) < t_mpf:
+    cs = P.coeffs
+    hi = lo + 1
+    while _p_below(cs, hi, 0, t_mpf):
         hi *= 2
-    lo_b, hi_b = lo_f, hi
+    lo_b, hi_b = lo << 48, hi << 48
     for _ in range(48):
-        mid = (lo_b + hi_b) / 2
-        if P(mid) < t_mpf:
+        mid = (lo_b + hi_b) >> 1
+        if _p_below(cs, mid, 48, t_mpf):
             lo_b = mid
         else:
             hi_b = mid
-    x = (lo_b + hi_b) / 2
+    lo_f = mpmath.mpf(lo)
+    x = mpmath.ldexp(mpmath.mpf(lo_b + hi_b), -49)
     eps = mpmath.mpf(2) ** (-(mp.prec - 8))
     for _ in range(80):
         fx = P(x) - t_mpf
@@ -475,8 +519,12 @@ def _invert_p(P: IntPolynomial, t_mpf: mpmath.mpf, lo: int) -> mpmath.mpf:
 def psi_eval(P: IntPolynomial, Q: IntPolynomial, t) -> mpmath.mpf:
     """psi(t) = Q(P^{-1}(t)) on the shared increasing branch.
 
-    High-precision real arithmetic (128-bit significand or better); relative
-    error well below 1e-12.  Raises DomainError for t <= P(a*).
+    High-precision real arithmetic (160-bit significand or better, and 96
+    bits past t's); relative error well below 1e-12.  P^{-1}(t) comes from
+    ``_invert_p``: an exact integer bracket whose comparisons replay the mpf
+    evaluation only where P(mid) is within its rounding bound of t, so the
+    value is bit for bit that of all-mpf bisection, then mpf Newton.  Raises
+    DomainError for t <= P(a*) and for t = +oo.
     """
     a, prec = _psi_prep(P, Q, t)
     with mpmath.workprec(prec):
@@ -498,17 +546,11 @@ def _psi_prep(P: IntPolynomial, Q: IntPolynomial, t) -> tuple[int, int]:
     """Domain check for psi-type evaluations; returns (a*, working precision)."""
     a = a_star(P, Q)
     floor_val = P(a)
-    if isinstance(t, (int, float, Fraction)):
-        in_domain = t > floor_val
-    else:
-        in_domain = t > mpmath.mpf(floor_val)
-    if not in_domain:
+    if not t > floor_val:  # exact for int, float, Fraction and mpf alike
         raise DomainError(f"t must exceed P(a*) = {floor_val}, got {t}")
-    try:
-        t_bits = max(64, int(abs(t)).bit_length())
-    except (OverflowError, ValueError, TypeError):  # pragma: no cover
-        t_bits = 64
-    return a, max(160, t_bits + 96)
+    if t == math.inf:  # past the domain check, the one non-finite t left
+        raise DomainError(f"t must be finite, got {t}")
+    return a, max(160, int(t).bit_length() + 96)
 
 
 # ---------------------------------------------------------------------------

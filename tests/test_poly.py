@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, growth profiles, and band offsets."""
 
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -126,6 +127,130 @@ def test_psi_composition_identity():
             got = psi_eval(P, Q, P(t_hat))
             want = Q(t_hat)
             assert abs(got - want) / want < 1e-9
+
+
+@pytest.mark.parametrize("fn", [psi_eval, poly.psi_prime])
+@pytest.mark.parametrize("t", [float("inf"), mpmath.inf])
+def test_psi_rejects_infinite_t(fn, t):
+    # the bracket's doubling would never reach P(hi) >= oo
+    with pytest.raises(DomainError, match="finite"):
+        fn(parse_poly("n^2"), parse_poly("n^3"), t)
+
+
+def _ulps_away(y, k):
+    """The mpf k units in the last place from y, at the working precision."""
+    sign, man, exp, bc = y._mpf_
+    if not man:
+        return mpmath.ldexp(mpmath.mpf(k), -mpmath.mp.prec)
+    shift = mpmath.mp.prec - bc
+    return mpmath.ldexp(mpmath.mpf(((-man if sign else man) << shift) + k), exp - shift)
+
+
+@st.composite
+def _below_cases(draw):
+    prec = draw(st.integers(160, 400))
+    d = draw(st.integers(1, 5))
+    lower = draw(st.lists(st.integers(-(2**64), 2**64) | st.integers(-50, 50), min_size=d, max_size=d))
+    cs = lower + [draw(st.integers(1, 2**32))]
+    s = draw(st.sampled_from([0, 48]))
+    bits = draw(st.integers(0, min(200, prec)))  # x = X / 2^s is exact at prec
+    X = draw(st.integers(0, (1 << bits) - 1).map(lambda v: v | (1 << bits >> 1)))
+    near = draw(st.sampled_from([None, -2, -1, 0, 1, 2]))
+    far = draw(st.integers(-(2**300), 2**300))
+    return prec, cs, s, X, near, far
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_below_cases())
+def test_p_below_matches_mpf_horner(case):
+    # t at the rounded mpf P(x) and its neighbours leaves the exact value on
+    # the wrong side of t for about half the draws: only the replay gets those
+    prec, cs, s, X, near, far = case
+    with mpmath.workprec(prec):
+        x = mpmath.ldexp(mpmath.mpf(X), -s)
+        y = poly._eval_coeffs(cs, x)
+        t = mpmath.mpf(far) if near is None else _ulps_away(y, near)
+        assert poly._p_below(cs, X, s, t) == (y < t)
+
+
+def _invert_p_mpf(P, t_mpf, lo):
+    """P^-1 by bisection and Newton all in mpf, as poly._invert_p once was."""
+    mp = mpmath.mp
+    lo_f = mpmath.mpf(lo)
+    hi = mpmath.mpf(lo + 1)
+    while P(hi) < t_mpf:
+        hi *= 2
+    lo_b, hi_b = lo_f, hi
+    for _ in range(48):
+        mid = (lo_b + hi_b) / 2
+        if P(mid) < t_mpf:
+            lo_b = mid
+        else:
+            hi_b = mid
+    x = (lo_b + hi_b) / 2
+    eps = mpmath.mpf(2) ** (-(mp.prec - 8))
+    for _ in range(80):
+        fx = P(x) - t_mpf
+        dfx = P.derivative_at(x)
+        step = fx / dfx
+        x_new = x - step
+        if x_new <= lo_f:
+            x_new = (x + lo_f) / 2
+        x = x_new
+        if abs(step) <= abs(x) * eps:
+            break
+    return x
+
+
+def _assert_psi_matches_mpf_inversion(P, Q, t):
+    a, prec = poly._psi_prep(P, Q, t)
+    with mpmath.workprec(prec):
+        x = _invert_p_mpf(P, poly._to_mpf(t), a)
+        want = ((+Q(x))._mpf_, (+(Q.derivative_at(x) / P.derivative_at(x)))._mpf_)
+    assert (psi_eval(P, Q, t)._mpf_, poly.psi_prime(P, Q, t)._mpf_) == want
+
+
+_PSI_PAIRS = [
+    ("n^2", "n^3"),
+    ("2n^2", "3n^3 + n"),
+    ("n^2", "n^2 + n"),
+    ("n^3 - 5n^2 + n", "n^4"),
+    ("n^2 - 10000000000000000000000000000000000000000n", "n^3"),
+    ("3n^2 - 1000000000000n", "n^3 - n"),
+]
+
+
+@pytest.mark.parametrize("pt,qt", _PSI_PAIRS)
+def test_psi_bit_identical_to_mpf_inversion_at_roots_and_floor(pt, qt):
+    # t = P(k) puts the root on an integer, where the doubling bracket or a
+    # midpoint can hit it exactly; t just above P(a*) starts at the bracket's foot
+    P, Q = parse_poly(pt), parse_poly(qt)
+    a = a_star(P, Q)
+    floor = P(a)
+    ts = [P(k) for k in range(a + 1, a + 40)] + [P(2**j * (a + 1)) for j in range(1, 6)]
+    ts += [floor + 1, floor + 2, Fraction(2 * floor + 1, 2), Fraction(7 * floor + 1, 7)]
+    if float(floor) > floor:
+        ts.append(float(floor))
+    ts += [mpmath.mpf(floor) * (1 + mpmath.mpf(2) ** -40), mpmath.mpf(P(a + 3))]
+    for t in ts:
+        _assert_psi_matches_mpf_inversion(P, Q, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=st.sampled_from(_PSI_PAIRS),
+    kind=st.sampled_from(["int", "Fraction", "float", "mpf"]),
+    scale=st.integers(0, 200),
+    num=st.integers(1, 2**80),
+)
+def test_psi_bit_identical_to_mpf_inversion(pair, kind, scale, num):
+    P, Q = parse_poly(pair[0]), parse_poly(pair[1])
+    floor = P(a_star(P, Q))
+    t = Fraction(floor) + Fraction(num, 2**40) * 2**scale
+    t = {"int": math.ceil, "Fraction": Fraction, "float": float, "mpf": poly._to_mpf}[kind](t)
+    if not t > floor:  # a float or 53-bit mpf may round back onto P(a*)
+        return
+    _assert_psi_matches_mpf_inversion(P, Q, t)
 
 
 def test_psi_profile_fixed():
