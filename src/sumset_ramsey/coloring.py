@@ -15,6 +15,13 @@ consecutive integer breakpoints, which a generator yields in order.  So are
 explicit streams and run-length files, whose generator stops after their last
 run.  The periodic and seeded random kinds color position by position.
 
+Positions of any size are answered exactly.  ``colors_at`` reads them
+through ``poly.int_array``, the one rule for integers handed to the array
+layer (int64 when every value fits, Python ints in an object array
+otherwise, as ``poly._fits_int64`` rules for polynomial values), and each
+kind answers both dtypes in its own array kernel.  ``color`` is the scalar
+oracle on a path of its own.
+
 All membership decisions at integers are exact: rational boundaries are
 compared via integer cross-multiplication (ceil of a Fraction), polynomial
 boundaries are exact integers, and the recursive construction's real levels
@@ -23,7 +30,6 @@ are held in high-precision floats wide enough that integer rounding is stable.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from bisect import bisect_left, bisect_right
@@ -53,6 +59,8 @@ from .poly import (
     first_at_least,
     format_poly,
     increasing_from,
+    int_array,
+    int_value,
     psi_eval,
     psi_prime,
     psi_profile,
@@ -141,16 +149,18 @@ class Coloring:
     descriptor: str
 
     def color(self, n: int) -> int:
+        """Color of position n: the scalar oracle, computed on its own path."""
         raise NotImplementedError
 
     def colors_at(self, zs) -> np.ndarray:
-        """Vector of colors; exact, default implementation loops the oracle."""
-        # a list mixing int64 positions with larger ones would turn into floats
-        zs = zs.tolist() if isinstance(zs, np.ndarray) else list(zs)
-        out = np.empty(len(zs), dtype=np.uint8)
-        for i, z in enumerate(zs):
-            out[i] = self.color(int(z))
-        return out
+        """Colors of the positions zs as a uint8 array, equal to color() at each.
+
+        zs holds integers >= 1 of any size: a list, or an int64, uint64 or
+        object ndarray.  Every kind answers all of them in its own array
+        kernel, never through color().  Non-integers and positions below 1
+        raise DomainError, as color() does.
+        """
+        raise NotImplementedError
 
     def window(self, n: int) -> ColorWindow:
         cap = window_cap()
@@ -177,42 +187,20 @@ class Coloring:
             yield int(colors[s]), int(e - s)
 
 
-def _positions(zs) -> np.ndarray:
-    """zs as an array, rejecting positions below 1 as color() does.
+def _position(n) -> int:
+    """n as a Python int position, or DomainError: the check of every color()."""
+    n = int_value(n)
+    if n < 1:
+        raise DomainError(f"positions start at 1, got {n}")
+    return n
 
-    The array is int64 when every position fits it, and uint64 or object
-    otherwise.
-    """
-    if not isinstance(zs, np.ndarray):
-        try:
-            zs = np.array(zs, dtype=np.int64)
-        except OverflowError:
-            zs = np.array(zs, dtype=object)
+
+def _positions(zs) -> np.ndarray:
+    """zs by ``int_array``, rejecting positions below 1 as color() does."""
+    zs = int_array(zs)
     if zs.size and zs.min() < 1:
         raise DomainError("positions start at 1")
-    if zs.dtype != np.int64 and (zs.size == 0 or zs.max() <= _I64_MAX):
-        zs = zs.astype(np.int64)
     return zs
-
-
-def _int64_kernel(kernel: Callable[[Coloring, np.ndarray], np.ndarray]):
-    """A colors_at from a kernel over int64 positions >= 1.
-
-    Positions past int64 take the scalar loop of ``Coloring.colors_at``.
-    """
-
-    @functools.wraps(kernel)
-    def colors_at(self, zs) -> np.ndarray:
-        zs = _positions(zs)
-        if zs.dtype == np.int64:
-            return kernel(self, zs)
-        wide = zs > _I64_MAX
-        out = np.empty(zs.shape[0], dtype=np.uint8)
-        out[~wide] = kernel(self, zs[~wide].astype(np.int64))
-        out[wide] = Coloring.colors_at(self, zs[wide])
-        return out
-
-    return colors_at
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +250,7 @@ class BreakpointColoring(Coloring):
         col_blocks: list[np.ndarray] = []
         for bps, cols in self._gen:
             if len(bps):
-                if not (isinstance(bps, np.ndarray) and bps.dtype == np.int64):
-                    bps = np.array(bps, dtype=object)
+                bps = int_array(bps)
                 bps_blocks.append(bps)
                 col_blocks.append(np.asarray(cols, dtype=np.uint8))
                 held += len(bps)
@@ -299,18 +286,21 @@ class BreakpointColoring(Coloring):
         return self._bp64.shape[0] + bisect_right(self._tail, z)
 
     def color(self, n: int) -> int:
-        if n < 1:
-            raise DomainError(f"positions start at 1, got {n}")
+        n = _position(n)
         self._extend(n)
         return int(self._table[self._rank(n)])
 
-    @_int64_kernel
-    def colors_at(self, zs: np.ndarray) -> np.ndarray:
-        if zs.size == 0:
-            return np.zeros(0, dtype=np.uint8)
-        self._extend(int(zs.max()))
-        # every int64 z lies below the breakpoints of the tail
-        return self._table[np.searchsorted(self._bp64, zs, side="right")]
+    def colors_at(self, zs) -> np.ndarray:
+        zs = _positions(zs)
+        if zs.size:
+            self._extend(int(zs.max()))
+        if zs.dtype == np.int64:
+            # every int64 z lies below the breakpoints of the tail
+            return self._table[np.searchsorted(self._bp64, zs, side="right")]
+        wide = zs > _I64_MAX
+        ranks = np.searchsorted(self._bp64, np.where(wide, _I64_MAX, zs).astype(np.int64), side="right")
+        ranks[wide] += [bisect_right(self._tail, z) for z in zs[wide].tolist()]
+        return self._table[ranks]
 
     def segments(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Color runs of the values lo..hi as (starts, colors), starts[0] == lo.
@@ -519,13 +509,12 @@ class SeededRandomColoring(Coloring):
         self._base = (self.seed * _SM_GAMMA) & _U64
 
     def color(self, n: int) -> int:
-        if n < 1:
-            raise DomainError(f"positions start at 1, got {n}")
-        return _mix64(self._base + n) % self.palette + 1
+        return _mix64(self._base + _position(n)) % self.palette + 1
 
-    @_int64_kernel
-    def colors_at(self, zs: np.ndarray) -> np.ndarray:
-        x = zs.astype(np.uint64) + np.uint64(self._base)
+    def colors_at(self, zs) -> np.ndarray:
+        zs = _positions(zs)
+        # the mix works mod 2^64
+        x = (zs if zs.dtype == np.int64 else zs % (1 << 64)).astype(np.uint64) + np.uint64(self._base)
         x = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_MUL1)
         x = (x ^ (x >> np.uint64(27))) * np.uint64(_SM_MUL2)
         x = x ^ (x >> np.uint64(31))
@@ -547,20 +536,17 @@ class PeriodicColoring(Coloring):
         self.descriptor = "periodic:" + ("".join(str(p) for p in pat) if max(pat) <= 9 else "-".join(str(p) for p in pat))
 
     def color(self, n: int) -> int:
-        if n < 1:
-            raise DomainError(f"positions start at 1, got {n}")
-        return self.pattern[(n - 1) % len(self.pattern)]
+        return self.pattern[(_position(n) - 1) % len(self.pattern)]
 
-    @_int64_kernel
-    def colors_at(self, zs: np.ndarray) -> np.ndarray:
-        return self._arr[(zs - 1) % len(self.pattern)]
+    def colors_at(self, zs) -> np.ndarray:
+        zs = _positions(zs)
+        return self._arr[((zs - 1) % len(self.pattern)).astype(np.int64, copy=False)]
 
 
 def _run_blocks(starts: Sequence[int], colors: Sequence[int], end: int) -> Iterator[Block]:
     """A finite stream as one block: run i from starts[i] on has colors[i],
     and color 1 holds from end on."""
-    bps = [*starts, end]
-    yield (np.array(bps, dtype=np.int64) if end <= _I64_MAX else bps), [*colors, 1]
+    yield int_array([*starts, end]), [*colors, 1]
 
 
 class ExplicitColoring(BreakpointColoring):

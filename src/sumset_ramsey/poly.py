@@ -6,7 +6,9 @@ answers the exact questions the constructions ask of an integer polynomial:
 ``values`` gives n + P(x) over an integer array, ``first_at_least`` the least
 m with n + P(m) >= t for many t at once, and ``increasing_from`` the m from
 which P increases.  One rule, ``_fits_int64``, decides when int64 arithmetic
-is exact; past it the values are Python ints in object arrays.  On top of it
+is exact; past it the values are Python ints in object arrays.  Integers
+handed in from outside take one rule too, ``int_array``: int64 when every
+value fits, Python ints in an object array otherwise.  On top of it
 sit the growth map psi = Q o P^{-1} (evaluated in high-precision real
 arithmetic), its degree/leading-ratio profile, and the band-offset computation
 for pairs of equal degree and equal leading coefficient.
@@ -15,6 +17,7 @@ for pairs of equal degree and equal leading coefficient.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -238,6 +241,40 @@ def format_poly(p: IntPolynomial) -> str:
 # exact evaluation and inversion over integer arrays
 # ---------------------------------------------------------------------------
 
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def int_value(x) -> int:
+    """x as a Python int: any integer but a bool, else DomainError."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise DomainError(f"expected an integer, got {x!r}")
+
+
+def int_array(xs) -> np.ndarray:
+    """The integers xs as an int64 array when every value fits, and as an
+    object array of Python ints otherwise.
+
+    xs is an ndarray or a sequence.  A uint64 array never wraps; float,
+    string and bool arrays, and non-integer elements, raise DomainError.
+    """
+    arr = np.asarray(xs)
+    if arr.dtype.kind == "f" and not isinstance(xs, np.ndarray):
+        # numpy makes floats of a list mixing int64 values with ones past 2^63
+        arr = np.array(xs, dtype=object)
+    kind = arr.dtype.kind
+    if kind == "i" or (kind == "u" and (arr.size == 0 or arr.max() <= _I64_MAX)):
+        return arr.astype(np.int64, copy=False)
+    if kind not in ("u", "O"):
+        raise DomainError(f"expected integers, got a {arr.dtype} array")
+    vals = [int_value(v) for v in arr.ravel().tolist()]
+    fits = not vals or (_I64_MIN <= min(vals) and max(vals) <= _I64_MAX)
+    return np.array(vals, dtype=np.int64 if fits else object).reshape(arr.shape)
+
+
 def _fits_int64(P: IntPolynomial, n: int, top: int) -> bool:
     """The one overflow rule: n + P(x) by Horner stays in int64 for |x| <= top."""
     # |acc_j| <= sum |c_k| top^(k-j) <= sum |c_k| top^k for top >= 1, so the
@@ -286,10 +323,7 @@ def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None)
     Evaluations are costed in the dtype chosen for them, and the cheaper way
     runs.
     """
-    if not isinstance(ts, np.ndarray) or ts.dtype != np.int64:
-        ts = np.array(ts, dtype=object)  # np.asarray turns ints past 2^63 into floats
-        if ts.size and -(1 << 63) <= ts.min() and ts.max() < 1 << 63:
-            ts = ts.astype(np.int64)
+    ts = int_array(ts)
     if hi is None:
         hi, top = max(lo, 1), max(ts.tolist(), default=n)
         while n + P(hi) < top:

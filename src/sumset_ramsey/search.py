@@ -521,6 +521,11 @@ def _bad_set_by_runs(
     return np.repeat(starts[keep] - offsets, lens) + np.arange(int(lens.sum()), dtype=np.int64)
 
 
+def _check_color(coloring: Coloring, color: int) -> None:
+    if not 1 <= color <= coloring.palette:
+        raise DomainError(f"color {color} outside palette 1..{coloring.palette}")
+
+
 def bad_set(
     coloring: Coloring,
     n: int,
@@ -535,6 +540,7 @@ def bad_set(
     """
     if M < 1:
         raise DomainError(f"horizon must be positive, got {M}")
+    _check_color(coloring, color)
     polys = tuple(polys)
     if isinstance(coloring, BreakpointColoring):
         elems = _bad_set_by_runs(coloring, n, polys, color, M)
@@ -567,9 +573,12 @@ def bad_set_growth(
     horizons: Sequence[int],
 ) -> list[tuple[int, int, int | None]]:
     """(M, count, max_element) rows for a ladder of horizons, one enumeration."""
+    _check_color(coloring, color)
     horizons = sorted(set(int(M) for M in horizons))
     if not horizons:
         return []
+    if horizons[0] < 1:
+        raise DomainError(f"horizon must be positive, got {horizons[0]}")
     elems, _ = bad_set(coloring, n, polys, color, horizons[-1])
     rows = []
     lst = elems.tolist()
@@ -593,7 +602,6 @@ def longest_ap(S: Iterable[int]) -> tuple[int, int, int]:
     n = len(elems)
     # length[i][d] = longest AP ending at elems[i] with difference d
     length: list[dict[int, int]] = [dict() for _ in range(n)]
-    pos = {v: i for i, v in enumerate(elems)}
     best = (2, -(elems[1] - elems[0]), -elems[0])  # (len, -diff, -start)
     for j in range(n):
         for i in range(j):

@@ -613,6 +613,12 @@ PINNED_OUTPUTS = [
     ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 2 --growth 10,1000 --out text', 0,
      'M=10 count=0 max_element=-\nM=1000 count=0 max_element=-\n',
      ''),
+    ('audit --coloring random:k=2 --polys n,2n --n-max 1 --color 7 --M 10', 1,
+     '',
+     '{"error": "DomainError", "message": "color 7 outside palette 1..2"}\n'),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 1 --growth 0,10', 1,
+     '',
+     '{"error": "DomainError", "message": "horizon must be positive, got 0"}\n'),
     ('ap --set 1,2,3,5,7,9 --out json', 0,
      '{"start": 1, "difference": 2, "length": 5}\n',
      ''),

@@ -905,11 +905,14 @@ def wide_kinds():
         min_size=1, max_size=12,
     ),
     form=st.sampled_from(["list", "object", "uint64"]),
-    bad=st.one_of(st.none(), st.integers(-(10**30), 0)),
+    bad=st.one_of(st.none(), st.integers(-(10**30), 0), st.sampled_from([2.5, np.float64(3), "3"])),
 )
 @example(which=0, zs=[2**63 + 5, 2**64 + 7, 10**30], form="list", bad=None)
 @example(which=6, zs=[3, 2**63 - 1, 2**63], form="uint64", bad=None)
+@example(which=7, zs=[3, 2**63 + 1], form="list", bad=2.5)
 def test_colors_at_agrees_with_color_past_int64(wide_kinds, which, zs, form, bad):
+    # a bad position is one below 1 or a non-integer, which colors_at must
+    # not truncate or parse
     c, reach = wide_kinds[which]
     if reach is not None:
         zs = [(z - 1) % reach + 1 for z in zs]
@@ -918,7 +921,7 @@ def test_colors_at_agrees_with_color_past_int64(wide_kinds, which, zs, form, bad
         zs = zs[:1] + [bad] + zs[1:]
         with pytest.raises(DomainError):
             c.color(bad)
-    if form == "uint64" and max(zs) < 2**64 and min(zs) >= 0:
+    if form == "uint64" and all(isinstance(z, int) and 0 <= z < 2**64 for z in zs):
         arg = np.array(zs, dtype=np.uint64)
     else:
         arg = zs if form == "list" else np.array(zs, dtype=object)
@@ -927,6 +930,28 @@ def test_colors_at_agrees_with_color_past_int64(wide_kinds, which, zs, form, bad
             c.colors_at(arg)
     else:
         assert c.colors_at(arg).tolist() == want
+
+
+@pytest.mark.parametrize("form", ["list", "object", "uint64"])
+@pytest.mark.parametrize("which", range(9))
+def test_wide_positions_never_reach_color(wide_kinds, monkeypatch, which, form):
+    # every kind answers positions past 2^63 in its own array kernel: with
+    # color() made to raise, colors_at still gives color()'s answers (case2
+    # keeps to the positions its breakpoints reach in test time)
+    c, reach = wide_kinds[which]
+    zs = [1, 2, 7, 2**40 + 1, 2**62, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1]
+    if form != "uint64":
+        zs += [2**64 + 7, 10**30]
+    if reach is not None:
+        zs = [(z - 1) % reach + 1 for z in zs]
+    want = [c.color(z) for z in zs]
+
+    def oracle(self, n):
+        raise AssertionError("colors_at called color()")
+
+    monkeypatch.setattr(type(c), "color", oracle)
+    arg = zs if form == "list" else np.array(zs, dtype=object if form == "object" else np.uint64)
+    assert c.colors_at(arg).tolist() == want
 
 
 def test_runs_reconstruct_colors():

@@ -775,6 +775,27 @@ def test_bad_set_growth_matches_bad_set():
         assert max_el == rep.max_element
 
 
+@pytest.mark.parametrize(
+    "c", [SeededRandomColoring(3, 2), PeriodicColoring([1, 2, 3]), triple_2coloring(1, 2, 3)],
+    ids=["random", "periodic", "triple"],
+)
+def test_audits_reject_colors_outside_palette(c):
+    k = c.palette
+    for color in (0, k + 1):
+        with pytest.raises(DomainError):
+            bad_set(c, 1, LIN, color, 10)
+        with pytest.raises(DomainError):
+            bad_set_growth(c, 1, LIN, color, [10])
+    _, rep = bad_set(c, 1, LIN, k, 10)
+    assert bad_set_growth(c, 1, LIN, k, [10]) == [(10, rep.count, rep.max_element)]
+
+
+@pytest.mark.parametrize("horizons", [[0, 10], [-5, 10], [0]])
+def test_bad_set_growth_rejects_horizons_below_1(horizons):
+    with pytest.raises(DomainError):
+        bad_set_growth(triple_2coloring(1, 2, 3), 1, LIN, 1, horizons)
+
+
 def test_longest_ap_fixed():
     # {1,3,5,7,9} is a 5-term progression inside the set
     assert longest_ap({1, 2, 3, 5, 7, 9}) == (1, 2, 5)
