@@ -297,6 +297,7 @@ class BreakpointColoring(Coloring):
         if zs.dtype == np.int64:
             # every int64 z lies below the breakpoints of the tail
             return self._table[np.searchsorted(self._bp64, zs, side="right")]
+        # a wide z ranks past every int64 breakpoint, then within the tail
         wide = zs > _I64_MAX
         ranks = np.searchsorted(self._bp64, np.where(wide, _I64_MAX, zs).astype(np.int64), side="right")
         ranks[wide] += [bisect_right(self._tail, z) for z in zs[wide].tolist()]
