@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -87,6 +88,26 @@ def _pattern_tok(tok: str, text: str, pos: int) -> list[int]:
     raise ParseError(f"expected digit string or dash-joined colors, got {t!r}", text, pos)
 
 
+def _pair_tok(tok: str, text: str, pos: int) -> tuple[int, int]:
+    d, sep, k = tok.partition(":")
+    if not sep:
+        raise ParseError(f"expected d:k pair, got {tok.strip()!r}", text, pos)
+    return _int_tok(d, text, pos), _int_tok(k, text, pos + len(d) + 1)
+
+
+def _listed(tok: Callable) -> Callable[[str], tuple]:
+    """argparse type of a comma-separated flag: each item read by tok at its offset."""
+
+    def read(text: str) -> tuple:
+        values, pos = [], 0
+        for item in text.split(","):
+            values.append(tok(item, text, pos))
+            pos += len(item) + 1
+        return tuple(values)
+
+    return read
+
+
 def _split_params(params: str, text: str, base: int):
     """Positional tokens and named tokens with their offsets in text."""
     pos_args: list[tuple[str, int]] = []
@@ -138,6 +159,8 @@ _SIGNATURES: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], 
     "explicit": (("pattern",), (), (), lambda pattern: ExplicitColoring(pattern)),
 }
 _KINDS = (*_SIGNATURES, "file")
+# the --kind flags of `color`; seed stays on --seed, the default seed
+_KIND_FLAGS = tuple(k for k in _TOKENS if k != "seed")
 
 
 def _read_text(path: str) -> str:
@@ -259,68 +282,36 @@ def _emit(fmt: str, out: IO[str], doc, record=None, table=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ints_arg(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(t) for t in text.split(",") if t.strip() != "")
-    except ValueError:
-        raise ParseError(f"expected comma-separated integers for {flag}", text, 0) from None
-    if not values:
-        raise ParseError(f"expected at least one integer for {flag}", text, 0)
-    return values
-
-
-def _pairs_arg(text: str, flag: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for item in text.split(","):
-        d, sep, k = item.partition(":")
-        if not sep:
-            raise ParseError(f"expected d:k pairs for {flag}", text, 0)
-        try:
-            out.append((int(d), int(k)))
-        except ValueError:
-            raise ParseError(f"bad pair {item!r} for {flag}", text, 0) from None
-    return tuple(out)
-
-
-def _parse_polys(text: str) -> list[IntPolynomial]:
-    toks = [t.strip() for t in text.split(",")]
-    if not toks or any(t == "" for t in toks):
-        raise ParseError("expected comma-separated polynomials", text, 0)
-    return [parse_poly(t) for t in toks]
-
-
 def _set_arg(args) -> set[int]:
-    if getattr(args, "set", None):
-        return set(_ints_arg(args.set, "--set"))
-    if getattr(args, "file", None):
+    if args.set:
+        return set(args.set)
+    if args.file:
         return {_int_tok(t, args.file) for t in _read_text(args.file).split()}
     raise ParseError("need --set or --file", "", None)
 
 
 def _coloring_from_args(args) -> Coloring:
-    """The --coloring spec, or the --kind flags spelled as the same spec."""
+    """The --coloring spec, or every --kind flag given spelled into the same spec:
+    the kind's own flags in its signature order, then the others by name, then
+    --path as @path, so the grammar alone accepts or rejects them."""
     if args.coloring:
         return parse_coloring_spec(args.coloring, args.seed)
     kind = args.kind
-    if kind == "file":
-        if args.path is None:
-            raise ParseError("file needs --path", "", None)
-        return parse_coloring_spec(f"file@{args.path}")
-    positional, named, required, _ = _SIGNATURES[kind]
+    positional, named, required, _ = _SIGNATURES.get(kind, ((), (), (), None))
     missing = [f"--{k}" for k in (*positional, *required) if getattr(args, k) is None]
     if missing:
         raise ParseError(f"{kind} needs {', '.join(missing)}", "", None)
-    values = {
-        k: str(getattr(args, k))
-        for k in (*positional, *named)
-        if getattr(args, k) is not None
-    }
-    for k, v in values.items():
+    flags = {k: getattr(args, k) for k in _KIND_FLAGS if getattr(args, k) is not None}
+    for k, v in flags.items():
         if "," in v:
             raise ParseError(f"--{k} may not contain ','", v, v.index(","))
-    params = [values[k] for k in positional]
-    params += [f"{k}={values[k]}" for k in named if k in values]
-    return parse_coloring_spec(f"{kind}:{','.join(params)}", args.seed)
+    params = [flags.pop(k) for k in positional]
+    params += [f"{k}={flags.pop(k)}" for k in named if k in flags]
+    params += [f"{k}={v}" for k, v in flags.items()]
+    spec = kind + (":" + ",".join(params) if params else "")
+    if args.path is not None:
+        spec += "@" + args.path
+    return parse_coloring_spec(spec, args.seed)
 
 
 def _cmd_color(args, out: IO[str], err: IO[str]) -> int:
@@ -353,19 +344,18 @@ def _cmd_color(args, out: IO[str], err: IO[str]) -> int:
 
 def _cmd_search(args, out: IO[str], err: IO[str]) -> int:
     c = parse_coloring_spec(args.coloring, args.seed)
-    polys = _parse_polys(args.polys)
     w = c.window(args.N)
     if args.strategy == "exhaustive":
         if args.sizeC is None:
             raise ParseError("exhaustive strategy needs --sizeC", "", None)
-        cfg = exhaustive_search(w, polys, r=args.r, sizeC=args.sizeC)
+        cfg = exhaustive_search(w, args.polys, r=args.r, sizeC=args.sizeC)
         if cfg is None:
             raise NoConfiguration(
                 f"no configuration with |C| = {args.sizeC} at r = {args.r}"
             )
     else:
         cfg = greedy_search(
-            w, polys, r=args.r, maxC=args.maxC, candidate_cap=args.candidate_cap
+            w, args.polys, r=args.r, maxC=args.maxC, candidate_cap=args.candidate_cap
         )
     doc = cfg.to_json(args.N)
     _emit(args.out, out, doc, record=doc.items())
@@ -374,11 +364,10 @@ def _cmd_search(args, out: IO[str], err: IO[str]) -> int:
 
 def _cmd_audit(args, out: IO[str], err: IO[str]) -> int:
     c = parse_coloring_spec(args.coloring, args.seed)
-    polys = _parse_polys(args.polys)
     if args.growth:
         if args.n is None or args.color is None:
             raise ParseError("--growth needs --n and --color", "", None)
-        rows = bad_set_growth(c, args.n, polys, args.color, _ints_arg(args.growth, "--growth"))
+        rows = bad_set_growth(c, args.n, args.polys, args.color, args.growth)
         header = ("M", "count", "max_element")
     else:
         if args.n_max is None:
@@ -387,7 +376,7 @@ def _cmd_audit(args, out: IO[str], err: IO[str]) -> int:
             raise ParseError("audit needs --M", "", None)
         colors = [args.color] if args.color is not None else range(1, c.palette + 1)
         reports = [
-            bad_set(c, n, polys, i, args.M)[1]
+            bad_set(c, n, args.polys, i, args.M)[1]
             for n in range(1, args.n_max + 1)
             for i in colors
         ]
@@ -416,9 +405,7 @@ def _cmd_dynamics(args, out: IO[str], err: IO[str]) -> int:
         if args.window_sizes:
             doc["density"] = [
                 [wsz, val]
-                for wsz, val in density_profile(
-                    rs.elements, M, _ints_arg(args.window_sizes, "--window-sizes")
-                )
+                for wsz, val in density_profile(rs.elements, M, args.window_sizes)
             ]
         record = [(k, doc[k]) for k in ("a", "b", "h", "M", "count", "max_gap")]
         _emit(args.out, out, doc, record=record, table=(("n",), [(n,) for n in rs.elements]))
@@ -437,31 +424,15 @@ def _cmd_dynamics(args, out: IO[str], err: IO[str]) -> int:
     # density
     if args.M is None or not args.window_sizes:
         raise ParseError("density op needs --M and --window-sizes", "", None)
-    prof = density_profile(
-        _set_arg(args), args.M, _ints_arg(args.window_sizes, "--window-sizes")
-    )
+    prof = density_profile(_set_arg(args), args.M, args.window_sizes)
     doc = [{"window": w_, "density": v} for w_, v in prof]
     _emit(args.out, out, doc, table=(("window", "density"), prof))
     return 0
 
 
 def _cmd_witness(args, out: IO[str], err: IO[str]) -> int:
-    fields = {}
-    for name in ("s", "t", "E", "j", "beta", "L0", "xi", "alpha"):
-        value = getattr(args, name)
-        if value is not None:
-            fields[name] = value
-    if args.d:
-        fields["d_values"] = _ints_arg(args.d, "--d")
-    if args.v:
-        fields["v_values"] = _ints_arg(args.v, "--v")
-    if args.offsets:
-        fields["offsets"] = _ints_arg(args.offsets, "--offsets")
-    if args.pairs:
-        fields["pairs"] = _pairs_arg(args.pairs, "--pairs")
-    p = WitnessParams(
-        variant=args.variant, a=args.a, b=args.b, r=args.r, d_tilde=args.dtilde, **fields
-    )
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(WitnessParams)}
+    p = WitnessParams(**{k: v for k, v in given.items() if v is not None})
     B, C = build_witness(p)
     verdict = check_sumset_identity(p, B, C) if args.check else None
     e_chain = None
@@ -545,18 +516,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--coloring", help="coloring spec, e.g. power2:1,2")
     src.add_argument("--kind", choices=_KINDS, help="built-in kind, with flags below")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--x")
-    p.add_argument("--y")
-    p.add_argument("--l")
-    p.add_argument("--P")
-    p.add_argument("--Q")
-    p.add_argument("--a0", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--pattern")
-    p.add_argument("--k", type=int)
+    for name in _KIND_FLAGS:
+        p.add_argument(f"--{name}")
     p.add_argument("--path")
     p.add_argument("--N", type=_positive_int, required=True)
     _add_seed(p)
@@ -565,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="hunt a monochromatic configuration")
     p.add_argument("--coloring", required=True)
-    p.add_argument("--polys", required=True, help='e.g. "n,2n"')
+    p.add_argument("--polys", type=_listed(_poly_tok), required=True, help='e.g. "n,2n"')
     p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--maxC", type=_positive_int, default=8)
@@ -578,18 +539,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="bad-set stabilization reports")
     p.add_argument("--coloring", required=True)
-    p.add_argument("--polys", required=True)
+    p.add_argument("--polys", type=_listed(_poly_tok), required=True)
     p.add_argument("--n-max", dest="n_max", type=_positive_int)
     p.add_argument("--n", type=_positive_int, help="single n (growth mode)")
     p.add_argument("--color", type=_positive_int)
     p.add_argument("--M", type=_positive_int)
-    p.add_argument("--growth", help="comma-separated horizons for a growth curve")
+    p.add_argument(
+        "--growth", type=_listed(_int_tok), help="comma-separated horizons for a growth curve"
+    )
     _add_seed(p)
     _add_out(p)
     p.set_defaults(handler=_cmd_audit)
 
     p = sub.add_parser("ap", help="longest arithmetic progression in a set")
-    p.add_argument("--set", help="comma-separated integers")
+    p.add_argument("--set", type=_listed(_int_tok), help="comma-separated integers")
     p.add_argument("--file", help="file of whitespace-separated integers")
     _add_out(p)
     p.set_defaults(handler=_cmd_ap)
@@ -606,9 +569,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=_positive_int)
     p.add_argument("--D", type=_positive_int)
     p.add_argument("--K", type=int)
-    p.add_argument("--set")
+    p.add_argument("--set", type=_listed(_int_tok))
     p.add_argument("--file")
-    p.add_argument("--window-sizes", dest="window_sizes")
+    p.add_argument("--window-sizes", dest="window_sizes", type=_listed(_int_tok))
     _add_seed(p)
     _add_out(p)
     p.set_defaults(handler=_cmd_dynamics)
@@ -618,17 +581,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_positive_int, required=True)
     p.add_argument("--b", type=_positive_int, required=True)
     p.add_argument("--r", type=_positive_int, required=True)
-    p.add_argument("--dtilde", type=int, default=0)
+    p.add_argument("--dtilde", dest="d_tilde", type=int, default=0)
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
-    p.add_argument("--d", help="comma-separated d values")
+    p.add_argument("--d", dest="d_values", type=_listed(_int_tok), help="comma-separated d values")
     p.add_argument("--E", type=int)
-    p.add_argument("--pairs", help="comma-separated d:k pairs")
-    p.add_argument("--v", help="comma-separated v values")
+    p.add_argument("--pairs", type=_listed(_pair_tok), help="comma-separated d:k pairs")
+    p.add_argument("--v", dest="v_values", type=_listed(_int_tok), help="comma-separated v values")
     p.add_argument("--j", type=int)
     p.add_argument("--beta", type=int)
     p.add_argument("--L0", type=int)
-    p.add_argument("--offsets", help="comma-separated offsets")
+    p.add_argument("--offsets", type=_listed(_int_tok), help="comma-separated offsets")
     p.add_argument("--xi", type=int)
     p.add_argument("--alpha", type=int)
     p.add_argument("--check", action="store_true", help="verify the sumset identity")

@@ -876,6 +876,7 @@ class RecursiveLogColoring(BreakpointColoring):
 
     def in_level_set(self, z: int, level: int) -> bool:
         """Exact membership of z in A_level (not restricted to the window)."""
+        z, level = int_value(z), int_value(level)
         if z < 1 or level < 0:
             return False
         # the ladder then reaches past z, and the sets above it start past z

@@ -242,6 +242,7 @@ def format_poly(p: IntPolynomial) -> str:
 # ---------------------------------------------------------------------------
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def int_value(x) -> int:
@@ -261,6 +262,10 @@ def int_array(xs) -> np.ndarray:
     xs is an ndarray or a sequence.  A uint64 array never wraps; float,
     string and bool arrays, and non-integer elements, raise DomainError.
     """
+    if isinstance(xs, (list, tuple)) and not _BOOLS.isdisjoint(map(type, xs)):
+        # numpy would read a bool among ints as 0 or 1
+        bad = next(v for v in xs if type(v) in _BOOLS)
+        raise DomainError(f"expected an integer, got {bad!r}")
     arr = np.asarray(xs)
     if arr.dtype.kind == "f" and not isinstance(xs, np.ndarray):
         # numpy makes floats of a list mixing int64 values with ones past 2^63
@@ -438,28 +443,6 @@ def _open_interval_root_free(coeffs: Sequence[int], a: int, b: int | None = None
 
 
 @lru_cache(maxsize=256)
-def _a_star_cached(p_coeffs: tuple[int, ...], q_coeffs: tuple[int, ...]) -> int:
-    P = list(p_coeffs)
-    Q = list(q_coeffs)
-    conds: list[list[int]] = []
-    if p_coeffs != q_coeffs:
-        qp = _sub(Q, P)
-        if not qp or qp[-1] <= 0:
-            raise DomainError("Q does not eventually dominate P")
-        conds.append(qp)
-        dq, dp = _derive(Q), _derive(P)
-        dqp = _sub(dq, dp)
-        if dqp and dqp[-1] <= 0:
-            raise DomainError("Q' does not eventually dominate P'")
-        conds.append(dqp)
-    conds.append(_sub(P, [1]))          # P >= 1 beyond the threshold
-    conds.append(_sub(_derive(P), [1]))  # P' >= 1 beyond the threshold
-    # every nonzero condition has a positive lead (P's lead is positive, and
-    # the two dominance leads are checked above), so one that is root-free
-    # on (a, oo) is positive there; being root-free is monotone in a
-    return max([1] + [_root_free_from(cs) for cs in conds if cs])
-
-
 def a_star(P: IntPolynomial, Q: IntPolynomial) -> int:
     """Smallest integer a with Q > P >= 1 and Q' > P' >= 1 on all of (a, oo).
 
@@ -468,7 +451,23 @@ def a_star(P: IntPolynomial, Q: IntPolynomial) -> int:
     positivity.
     For P == Q the dominance conditions are dropped (psi is the identity).
     """
-    return _a_star_cached(P.coeffs, Q.coeffs)
+    p, q = list(P.coeffs), list(Q.coeffs)
+    conds: list[list[int]] = []
+    if p != q:
+        qp = _sub(q, p)
+        if not qp or qp[-1] <= 0:
+            raise DomainError("Q does not eventually dominate P")
+        conds.append(qp)
+        dqp = _sub(_derive(q), _derive(p))
+        if dqp and dqp[-1] <= 0:
+            raise DomainError("Q' does not eventually dominate P'")
+        conds.append(dqp)
+    conds.append(_sub(p, [1]))          # P >= 1 beyond the threshold
+    conds.append(_sub(_derive(p), [1]))  # P' >= 1 beyond the threshold
+    # every nonzero condition has a positive lead (P's lead is positive, and
+    # the two dominance leads are checked above), so one that is root-free
+    # on (a, oo) is positive there; being root-free is monotone in a
+    return max([1] + [_root_free_from(cs) for cs in conds if cs])
 
 
 def _to_mpf(t) -> mpmath.mpf:

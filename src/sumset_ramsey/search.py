@@ -35,7 +35,14 @@ import numpy as np
 
 from .coloring import BreakpointColoring, ColorWindow, Coloring
 from .errors import DomainError, EmptySet, NoConfiguration
-from .poly import IntPolynomial, first_at_least, format_poly, increasing_from, values
+from .poly import (
+    IntPolynomial,
+    first_at_least,
+    format_poly,
+    increasing_from,
+    int_value,
+    values,
+)
 
 
 @dataclass(frozen=True)
@@ -521,9 +528,11 @@ def _bad_set_by_runs(
     return np.repeat(starts[keep] - offsets, lens) + np.arange(int(lens.sum()), dtype=np.int64)
 
 
-def _check_color(coloring: Coloring, color: int) -> None:
+def _check_color(coloring: Coloring, color: int) -> int:
+    color = int_value(color)
     if not 1 <= color <= coloring.palette:
         raise DomainError(f"color {color} outside palette 1..{coloring.palette}")
+    return color
 
 
 def bad_set(
@@ -538,9 +547,10 @@ def bad_set(
     On a breakpoint coloring the cost follows the breakpoints that n + P(m)
     crosses, not M; other colorings are evaluated at every m, in chunks.
     """
+    n, M = int_value(n), int_value(M)
     if M < 1:
         raise DomainError(f"horizon must be positive, got {M}")
-    _check_color(coloring, color)
+    color = _check_color(coloring, color)
     polys = tuple(polys)
     if isinstance(coloring, BreakpointColoring):
         elems = _bad_set_by_runs(coloring, n, polys, color, M)
@@ -573,8 +583,8 @@ def bad_set_growth(
     horizons: Sequence[int],
 ) -> list[tuple[int, int, int | None]]:
     """(M, count, max_element) rows for a ladder of horizons, one enumeration."""
-    _check_color(coloring, color)
-    horizons = sorted(set(int(M) for M in horizons))
+    color = _check_color(coloring, color)
+    horizons = sorted(set(map(int_value, horizons)))
     if not horizons:
         return []
     if horizons[0] < 1:

@@ -18,6 +18,7 @@ from sumset_ramsey.cli import run
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "schema.json").read_text()
 )
+ERROR_SCHEMA = {"$ref": "#/$defs/errorObject", "$defs": SCHEMA["$defs"]}
 
 
 def _run(*argv):
@@ -122,6 +123,10 @@ def test_color_kind_flags_equivalent(tmp_path):
         ("--kind explicit --pattern 1-2-3", "explicit:1-2-3", 0),
         ("--kind random --seed 4 --k 3", "random:k=3 --seed 4", 0),
         ("--kind random --k 0", "random:k=0", 1),
+        ("--kind random --k x", "random:k=x", 2),
+        ("--kind power2 --a x --b 2", "power2:x,2", 2),
+        # a flag the kind does not take is an unknown parameter
+        ("--kind triple --a 1 --b 2 --c 3 --y 7", "triple:1,2,3,y=7", 2),
         (f"--kind file --path {path}", f"file@{path}", 0),
     ):
         by_flags = _run("color", *flags.split(), "--N", "16")
@@ -457,7 +462,7 @@ def test_witness_domain_error_exit():
 
 def _usage_error(err, *fragments):
     obj = _validated(err)
-    jsonschema.validate(obj, {"$ref": "#/$defs/errorObject", "$defs": SCHEMA["$defs"]})
+    jsonschema.validate(obj, ERROR_SCHEMA)
     assert obj["error"] == "ParseError"
     for fragment in fragments:
         assert fragment in obj["message"]
@@ -682,6 +687,18 @@ PINNED_OUTPUTS = [
     ('color --kind power2 --a 1 --N 10', 2,
      '',
      '{"error": "ParseError", "message": "power2 needs --b", "text": "", "pos": null}\n'),
+    ('search --coloring periodic:12 --polys n+1,2n --N 60 --r 2', 2,
+     '',
+     '{"error": "ParseError", "message": "constant term must be 0, got 1 (at position 0 in \'n+1,2n\')", "text": "n+1,2n", "pos": 0}\n'),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 1 --growth 2,x', 2,
+     '',
+     '{"error": "ParseError", "message": "expected integer, got \'x\' (at position 2 in \'2,x\')", "text": "2,x", "pos": 2}\n'),
+    ('audit --coloring triple:1,2,3 --polys n,2n,3n --n 1 --color 1 --growth 2,,10', 2,
+     '',
+     '{"error": "ParseError", "message": "expected integer, got \'\' (at position 2 in \'2,,10\')", "text": "2,,10", "pos": 2}\n'),
+    ('witness --variant caseI --a 1 --b 2 --r 2 --E 2 --pairs 10-1', 2,
+     '',
+     '{"error": "ParseError", "message": "expected d:k pair, got \'10-1\' (at position 0 in \'10-1\')", "text": "10-1", "pos": 0}\n'),
     ('search --coloring periodic:12 --polys n,2n --N 6 --r 7', 1,
      '',
      '{"error": "NoConfiguration", "message": "no single candidate keeps 7 survivors in any color"}\n'),
@@ -695,4 +712,11 @@ PINNED_OUTPUTS = [
     "argv,code,stdout,stderr", PINNED_OUTPUTS, ids=[case[0] for case in PINNED_OUTPUTS]
 )
 def test_cli_output_pinned(argv, code, stdout, stderr):
-    assert _run(*argv.split()) == (code, stdout, stderr)
+    argv = argv.split()
+    assert _run(*argv) == (code, stdout, stderr)
+    # no pinned document or error object may drift from the schema
+    if "--out" not in argv or argv[argv.index("--out") + 1] == "json":
+        for line in stdout.splitlines():
+            _validated(line)
+    for line in stderr.splitlines():
+        jsonschema.validate(json.loads(line), ERROR_SCHEMA)

@@ -281,6 +281,11 @@ def test_in_level_set_matches_materialized_levels(pt, qt, a0):
             assert c.in_level_set(z, level) == (z in members), (z, level)
         checked += max(0, cap + 1 - lo)
     assert checked > cap
+    # z and level are integers: 15.0 is not the member 15, and "15" no string
+    for z, level in ((15.0, 0), (2.5, 0), ("15", 0), (True, 0), (15, 0.0)):
+        with pytest.raises(DomainError):
+            c.in_level_set(z, level)
+    assert not c.in_level_set(0, 0) and not c.in_level_set(-3, 0)
 
 
 def test_recursive_levels_separated():
@@ -905,14 +910,15 @@ def wide_kinds():
         min_size=1, max_size=12,
     ),
     form=st.sampled_from(["list", "object", "uint64"]),
-    bad=st.one_of(st.none(), st.integers(-(10**30), 0), st.sampled_from([2.5, np.float64(3), "3"])),
+    bad=st.one_of(st.none(), st.integers(-(10**30), 0), st.sampled_from([2.5, np.float64(3), "3", True])),
 )
 @example(which=0, zs=[2**63 + 5, 2**64 + 7, 10**30], form="list", bad=None)
 @example(which=6, zs=[3, 2**63 - 1, 2**63], form="uint64", bad=None)
 @example(which=7, zs=[3, 2**63 + 1], form="list", bad=2.5)
+@example(which=7, zs=[1, 2], form="list", bad=True)
 def test_colors_at_agrees_with_color_past_int64(wide_kinds, which, zs, form, bad):
     # a bad position is one below 1 or a non-integer, which colors_at must
-    # not truncate or parse
+    # not truncate, parse or read as 0 or 1
     c, reach = wide_kinds[which]
     if reach is not None:
         zs = [(z - 1) % reach + 1 for z in zs]
@@ -921,7 +927,7 @@ def test_colors_at_agrees_with_color_past_int64(wide_kinds, which, zs, form, bad
         zs = zs[:1] + [bad] + zs[1:]
         with pytest.raises(DomainError):
             c.color(bad)
-    if form == "uint64" and all(isinstance(z, int) and 0 <= z < 2**64 for z in zs):
+    if form == "uint64" and all(type(z) is int and 0 <= z < 2**64 for z in zs):
         arg = np.array(zs, dtype=np.uint64)
     else:
         arg = zs if form == "list" else np.array(zs, dtype=object)

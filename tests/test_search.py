@@ -588,6 +588,11 @@ def test_bad_set_fixed():
     assert rep.max_element is None
     assert rep.stabilized
 
+    # n and M are integers, never truncated or read from a bool
+    for n, M in ((1.5, 100), (True, 100), (3, 10.5), (3, True)):
+        with pytest.raises(DomainError):
+            bad_set(const, n, LIN, 1, M)
+
 
 def test_bad_set_triple_stabilizes():
     c = triple_2coloring(1, 2, 3)
@@ -781,7 +786,7 @@ def test_bad_set_growth_matches_bad_set():
 )
 def test_audits_reject_colors_outside_palette(c):
     k = c.palette
-    for color in (0, k + 1):
+    for color in (0, k + 1, 1.5, True):
         with pytest.raises(DomainError):
             bad_set(c, 1, LIN, color, 10)
         with pytest.raises(DomainError):
@@ -790,7 +795,7 @@ def test_audits_reject_colors_outside_palette(c):
     assert bad_set_growth(c, 1, LIN, k, [10]) == [(10, rep.count, rep.max_element)]
 
 
-@pytest.mark.parametrize("horizons", [[0, 10], [-5, 10]])
+@pytest.mark.parametrize("horizons", [[0, 10], [-5, 10], [10.7, 20]])
 def test_bad_set_growth_rejects_horizons_below_1(horizons):
     with pytest.raises(DomainError):
         bad_set_growth(triple_2coloring(1, 2, 3), 1, LIN, 1, horizons)
