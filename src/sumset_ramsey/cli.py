@@ -159,7 +159,7 @@ _SIGNATURES: dict[str, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], 
     "explicit": (("pattern",), (), (), lambda pattern: ExplicitColoring(pattern)),
 }
 _KINDS = (*_SIGNATURES, "file")
-# the --kind flags of `color`; seed stays on --seed, the default seed
+# the kind flags of `color`; its seed comes from --seed, as the default seed
 _KIND_FLAGS = tuple(k for k in _TOKENS if k != "seed")
 
 
@@ -291,9 +291,12 @@ def _set_arg(args) -> set[int]:
 
 
 def _coloring_from_args(args) -> Coloring:
-    """The --coloring spec, or every --kind flag given spelled into the same spec:
-    the kind's own flags in its signature order, then the others by name, then
-    --path as @path, so the grammar alone accepts or rejects them."""
+    """The --coloring spec, or the --kind flags spelled as the same spec.
+
+    Every kind flag given is spelled out, the kind's own in its signature
+    order, then the others by name, then --path as @path, so the grammar
+    alone accepts or rejects them.
+    """
     if args.coloring:
         return parse_coloring_spec(args.coloring, args.seed)
     kind = args.kind

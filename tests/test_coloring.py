@@ -281,7 +281,7 @@ def test_in_level_set_matches_materialized_levels(pt, qt, a0):
             assert c.in_level_set(z, level) == (z in members), (z, level)
         checked += max(0, cap + 1 - lo)
     assert checked > cap
-    # z and level are integers: 15.0 is not the member 15, and "15" no string
+    # z and level must be integers: neither 15.0 nor "15" is the member 15
     for z, level in ((15.0, 0), (2.5, 0), ("15", 0), (True, 0), (15, 0.0)):
         with pytest.raises(DomainError):
             c.in_level_set(z, level)
