@@ -55,7 +55,13 @@ from .search import (
     greedy_search,
     longest_ap,
 )
-from .witness import WitnessParams, build_witness, check_sumset_identity
+from .witness import (
+    VARIANT_FIELDS,
+    WitnessParams,
+    build_witness,
+    check_sumset_identity,
+    variant_name,
+)
 
 __all__ = ["parse_coloring_spec", "run", "main"]
 
@@ -282,8 +288,16 @@ def _emit(fmt: str, out: IO[str], doc, record=None, table=None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _refuse(args, mode: str, flags: dict[str, str]) -> None:
+    """ParseError naming the first of `flags` (dest: spelling) that was given; `mode` reads none."""
+    for dest, flag in flags.items():
+        if getattr(args, dest) is not None:
+            raise ParseError(f"{flag} does not apply {mode}", "", None)
+
+
 def _set_arg(args) -> set[int]:
     if args.set:
+        _refuse(args, "with --set", {"file": "--file"})
         return set(args.set)
     if args.file:
         return {_int_tok(t, args.file) for t in _read_text(args.file).split()}
@@ -370,6 +384,7 @@ def _cmd_audit(args, out: IO[str], err: IO[str]) -> int:
     if args.growth:
         if args.n is None or args.color is None:
             raise ParseError("--growth needs --n and --color", "", None)
+        _refuse(args, "with --growth", {"n_max": "--n-max", "M": "--M"})
         rows = bad_set_growth(c, args.n, args.polys, args.color, args.growth)
         header = ("M", "count", "max_element")
     else:
@@ -377,6 +392,7 @@ def _cmd_audit(args, out: IO[str], err: IO[str]) -> int:
             raise ParseError("audit needs --n-max (or --growth with --n and --color)", "", None)
         if args.M is None:
             raise ParseError("audit needs --M", "", None)
+        _refuse(args, "without --growth", {"n": "--n"})
         colors = [args.color] if args.color is not None else range(1, c.palette + 1)
         reports = [
             bad_set(c, n, args.polys, i, args.M)[1]
@@ -434,6 +450,14 @@ def _cmd_dynamics(args, out: IO[str], err: IO[str]) -> int:
 
 
 def _cmd_witness(args, out: IO[str], err: IO[str]) -> int:
+    variant = variant_name(args.variant)
+    # the other variants' flags; the list flags spell their field without
+    # "_values": --d, --v
+    unread = {
+        f: "--" + f.removesuffix("_values")
+        for fields in VARIANT_FIELDS.values() for f in fields if f not in VARIANT_FIELDS[variant]
+    }
+    _refuse(args, f"to variant {variant}", unread)
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(WitnessParams)}
     p = WitnessParams(**{k: v for k, v in given.items() if v is not None})
     B, C = build_witness(p)

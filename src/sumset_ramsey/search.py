@@ -6,8 +6,10 @@ object is the survivor bit-vector, packed in uint64 words: positions b that
 still satisfy all constraints imposed by the current C.  A scorer holds the
 survivor words of one color and scores a block of pool candidates per numpy
 call.  The window scorer's words cover [1, N] and come from a table of eight
-bit-offset copies of the color mask; the matrix scorer's words cover a fixed
-list of S survivors, one packed row of ceil(S / 64) words per candidate.
+bit-offset copies of the color mask; a candidate c is scored only over the
+words up to position N - max_P P(c), since no b above it survives c.  The
+matrix scorer's words cover a fixed list of S survivors, one packed row of
+ceil(S / 64) words per candidate.
 
 Greedy growth of C is one loop over either scorer, lazy as in Minoux's
 accelerated greedy: adding a candidate to a larger C never keeps more
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import mpmath
@@ -255,11 +258,19 @@ class _Scorer(_BlockScorer):
             pair |= table[0, a:b]
             np.right_shift(pair, _ROW_SHIFTS, out=table[1:, a:b], casting="unsafe")
         table[1:, -1] = table[0, -1] >> _ROW_SHIFTS[:, 0]
-        # a sliding window view: window k of row t is the 8 * nwords bytes from byte k
+        # a sliding window view of the table's bytes, read as words: window
+        # t * nbytes + k is the nwords words from byte k of row t (the windows
+        # that run into the next row are never read)
         self._windows = np.ndarray(
-            (8, nbytes - 8 * nwords + 1, 8 * nwords), np.uint8, table, strides=(nbytes, 1, 1)
+            (8 * nbytes - 8 * nwords + 1, nwords), np.uint64, table, strides=(1, 8)
         )
-        self._shifts = [(pv & 7, front + (pv >> 3)) for pv in pvals]
+        self._starts = [(pv & 7) * nbytes + front + (pv >> 3) for pv in pvals]
+        # a candidate keeps no b above N - max_P P(c), so its words past that
+        # bit's word are zero.  Pool shifts stop at n + 1, so no count is
+        # negative; a count past nwords is cut by the length of vw.  Suffix
+        # maxima over the pool bound every block that starts at j by live[j]
+        live = (w.n - reduce(np.maximum, pvals)) // 64 + 1
+        self._live = np.maximum.accumulate(live[::-1])[::-1]
         self._block = max(1, _BLOCK_BYTES // (8 * nwords))
         # survivors of the empty C: every b in [1, N]
         self.full = _bit_range(1, w.n + 1, nwords)
@@ -267,11 +278,14 @@ class _Scorer(_BlockScorer):
     def survivors_with(self, vw: np.ndarray, rows) -> np.ndarray:
         """Survivor words vw after adding each pool candidate in `rows`, one row each.
 
-        rows is a slice of the pool or an array of pool indices.
+        rows is a slice of the pool or an array of pool indices.  The words
+        stop after the last one that any candidate in rows can keep a bit of.
         """
-        acc = vw
-        for row, off in self._shifts:
-            words = self._windows[row[rows], off[rows]].view(np.uint64)
+        live = self._live[rows.start] if isinstance(rows, slice) else self._live[rows].max(initial=0)
+        wd = min(vw.shape[0], int(live))
+        acc = vw[:wd]
+        for start in self._starts:
+            words = self._windows[start[rows], :wd]
             acc = np.bitwise_and(words, acc, out=words)
         return acc
 

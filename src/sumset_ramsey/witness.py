@@ -18,26 +18,49 @@ from .errors import (
     DivisibilityError,
     NonPositiveElement,
 )
+from .poly import int_value
 
 __all__ = [
     "VARIANTS",
+    "VARIANT_FIELDS",
     "WitnessParams",
+    "variant_name",
     "build_witness",
     "witness_values",
     "check_sumset_identity",
 ]
 
-VARIANTS = ("StepI", "CaseI", "SituationI", "SituationII")
+# the fields each variant reads besides a, b, r and d_tilde
+VARIANT_FIELDS = {
+    "StepI": ("s", "t", "d_values"),
+    "CaseI": ("E", "pairs", "v_values"),
+    "SituationI": ("j", "beta", "L0", "offsets", "v_values"),
+    "SituationII": ("xi", "alpha", "beta", "L0", "v_values"),
+}
+VARIANTS = tuple(VARIANT_FIELDS)
+_LIST_FIELDS = ("d_values", "pairs", "v_values", "offsets")
 _CANON = {v.lower(): v for v in VARIANTS}
 
 
+def variant_name(text: str) -> str:
+    """The variant spelled `text` in any letter case; BadParams if there is none."""
+    canon = _CANON.get(str(text).lower())
+    if canon is None:
+        raise BadParams(f"unknown witness variant {text!r}")
+    return canon
+
+
 def _ints(values: Iterable[int]) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    return tuple(map(int_value, values))
 
 
 @dataclass(frozen=True)
 class WitnessParams:
-    """Parameters of one witness regime; divisibility is validated eagerly."""
+    """Parameters of one witness regime; divisibility is validated eagerly.
+
+    Every integer field must be an integer (``poly.int_value``): a float or a
+    bool raises DomainError rather than being truncated.
+    """
 
     variant: str
     a: int
@@ -62,17 +85,13 @@ class WitnessParams:
     alpha: int | None = None
 
     def __post_init__(self):
-        canon = _CANON.get(str(self.variant).lower())
-        if canon is None:
-            raise BadParams(f"unknown witness variant {self.variant!r}")
-        object.__setattr__(self, "variant", canon)
+        object.__setattr__(self, "variant", variant_name(self.variant))
         for name in ("a", "b", "r", "d_tilde"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "d_values", _ints(self.d_values))
-        object.__setattr__(self, "v_values", _ints(self.v_values))
-        object.__setattr__(self, "offsets", _ints(self.offsets))
+            object.__setattr__(self, name, int_value(getattr(self, name)))
+        for name in ("d_values", "v_values", "offsets"):
+            object.__setattr__(self, name, _ints(getattr(self, name)))
         object.__setattr__(
-            self, "pairs", tuple((int(d), int(k)) for d, k in self.pairs)
+            self, "pairs", tuple((int_value(d), int_value(k)) for d, k in self.pairs)
         )
         if not 0 < self.a < self.b:
             raise BadParams(f"need 0 < a < b, got a={self.a} b={self.b}")
@@ -80,17 +99,15 @@ class WitnessParams:
             raise BadParams(f"r must be at least 1, got {self.r}")
         if self.d_tilde < 0:
             raise BadParams(f"base shift must be nonnegative, got {self.d_tilde}")
+        # the variant's scalar fields are required
+        for name in VARIANT_FIELDS[self.variant]:
+            if name not in _LIST_FIELDS:
+                if getattr(self, name) is None:
+                    raise BadParams(f"{self.variant} requires {name}")
+                object.__setattr__(self, name, int_value(getattr(self, name)))
         getattr(self, "_check_" + self.variant.lower())()
 
-    def _require(self, *names: str) -> None:
-        for name in names:
-            if getattr(self, name) is None:
-                raise BadParams(f"{self.variant} requires {name}")
-
     def _check_stepi(self) -> None:
-        self._require("s", "t")
-        object.__setattr__(self, "s", int(self.s))
-        object.__setattr__(self, "t", int(self.t))
         if self.s < 1 or self.t < 1:
             raise BadParams("StepI needs s >= 1 and t >= 1")
         if self.t % self.a != 0:
@@ -101,8 +118,6 @@ class WitnessParams:
             raise BadParams("d values must be distinct")
 
     def _check_casei(self) -> None:
-        self._require("E")
-        object.__setattr__(self, "E", int(self.E))
         if self.E < 0:
             raise BadParams(f"E must be nonnegative, got {self.E}")
         if self.E % (self.b * (self.b - self.a)) != 0:
@@ -133,9 +148,6 @@ class WitnessParams:
             raise BadParams("v values must be distinct")
 
     def _check_situationi(self) -> None:
-        self._require("j", "beta", "L0")
-        for name in ("j", "beta", "L0"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         if self.j < 1 or self.beta < 1 or self.L0 < 2:
             raise BadParams("SituationI needs j >= 1, beta >= 1, L0 >= 2")
         if len(self.offsets) != self.r:
@@ -150,9 +162,6 @@ class WitnessParams:
         self._check_values()
 
     def _check_situationii(self) -> None:
-        self._require("xi", "alpha", "beta", "L0")
-        for name in ("xi", "alpha", "beta", "L0"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         if self.xi < 1 or self.alpha < 1 or self.beta < 1 or self.L0 < 1:
             raise BadParams("SituationII needs xi, alpha, beta, L0 all >= 1")
         if (self.xi - self.alpha) % (self.b - self.a) != 0:

@@ -699,6 +699,19 @@ PINNED_OUTPUTS = [
     ('witness --variant caseI --a 1 --b 2 --r 2 --E 2 --pairs 10-1', 2,
      '',
      '{"error": "ParseError", "message": "expected d:k pair, got \'10-1\' (at position 0 in \'10-1\')", "text": "10-1", "pos": 0}\n'),
+    # a flag the mode or variant does not read is refused, not dropped
+    ('witness --variant stepI --a 1 --b 2 --s 1 --t 1 --r 2 --d 10,20 --E 2 --v 100 --offsets 5', 2,
+     '',
+     '{"error": "ParseError", "message": "--E does not apply to variant StepI", "text": "", "pos": null}\n'),
+    ('ap --set 1,2,3 --file /nonexistent', 2,
+     '',
+     '{"error": "ParseError", "message": "--file does not apply with --set", "text": "", "pos": null}\n'),
+    ('audit --coloring triple:1,2,3 --polys n,2n --n 1 --color 1 --growth 10 --n-max 5 --M 100', 2,
+     '',
+     '{"error": "ParseError", "message": "--n-max does not apply with --growth", "text": "", "pos": null}\n'),
+    ('audit --coloring triple:1,2,3 --polys n,2n --n-max 2 --M 100 --n 1', 2,
+     '',
+     '{"error": "ParseError", "message": "--n does not apply without --growth", "text": "", "pos": null}\n'),
     ('search --coloring periodic:12 --polys n,2n --N 6 --r 7', 1,
      '',
      '{"error": "NoConfiguration", "message": "no single candidate keeps 7 survivors in any color"}\n'),

@@ -374,18 +374,41 @@ def test_lazy_argmax_scores_an_equal_bound_at_a_smaller_index():
     n=st.integers(1, 300),
     color=st.integers(1, 2),
     shifts=st.lists(st.lists(st.integers(-301, 301), min_size=3, max_size=3), min_size=1, max_size=2),
+    order=st.permutations(range(3)),
+    pick=st.integers(0, 2),
 )
 # the shift table's last byte: the packed mask fills the table and no shift reaches 8
-@example(seed=1, n=63, color=1, shifts=[[1, 5, 7], [0, 3, 6]])
-def test_window_scorer_matches_shifted_mask(seed, n, color, shifts):
+@example(seed=1, n=63, color=1, shifts=[[1, 5, 7], [0, 3, 6]], order=[0, 1, 2], pick=0)
+# N - reach on the last bit of word 0 (shift 64) and the first bit of word 1
+# (shift 63); position 127 has color 1
+@example(seed=1, n=127, color=1, shifts=[[0, 63, 64]], order=[2, 1, 0], pick=1)
+# a shift past n keeps no word; a shift of exactly n keeps word 0, which holds no survivor
+@example(seed=1, n=100, color=1, shifts=[[5, 301, 100], [3, -4, 100]], order=[1, 2, 0], pick=2)
+# negative shifts keep the full width
+@example(seed=2, n=200, color=1, shifts=[[-5, -301, -1]], order=[0, 1, 2], pick=0)
+def test_window_scorer_matches_shifted_mask(seed, n, color, shifts, order, pick):
     # a candidate keeps b iff b + P(c) has the color, for each P; shifts are clipped as in the pool
     w = SeededRandomColoring(seed, 2).window(n)
     pvals = [np.clip(np.array(sh, dtype=np.int64), -(n + 1), n + 1) for sh in shifts]
     scorer = search_module._Scorer(w, color, pvals)
     cols = w.colors.tolist()
+    want = [
+        [b for b in range(1, n + 1) if all(1 <= b + int(pv[j]) <= n and cols[b + int(pv[j])] == color for pv in pvals)]
+        for j in range(3)
+    ]
     for j in range(3):
-        want = [b for b in range(1, n + 1) if all(1 <= b + int(pv[j]) <= n and cols[b + int(pv[j])] == color for pv in pvals)]
-        assert scorer.lowest(scorer.survivors_with(scorer.full, slice(j, j + 1))[0]).tolist() == want
+        assert scorer.lowest(scorer.survivors_with(scorer.full, slice(j, j + 1))[0]).tolist() == want[j]
+    order = np.array(order, dtype=np.int64)
+    assert scorer.counts(scorer.full, 0, 3).tolist() == [len(v) for v in want]
+    assert scorer.counts(scorer.full, 0, 3, order).tolist() == [len(want[j]) for j in order]
+    # after a pick the survivor words may stop early; later candidates score on them as given
+    vw = scorer.survivors_with(scorer.full, slice(pick, pick + 1))[0]
+    kept = [[b for b in v if b in want[pick]] for v in want]
+    for j in range(3):
+        assert scorer.lowest(scorer.survivors_with(vw, slice(j, j + 1))[0]).tolist() == kept[j]
+    assert scorer.counts(vw, 0, 3, order).tolist() == [len(kept[j]) for j in order]
+    for got, j in zip(scorer.survivors_with(vw, order), order):
+        assert scorer.lowest(got).tolist() == kept[j]
 
 
 @settings(max_examples=150, deadline=None)

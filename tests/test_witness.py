@@ -11,7 +11,7 @@ from sumset_ramsey import (
     check_sumset_identity,
     witness_values,
 )
-from sumset_ramsey.errors import BadParams, DivisibilityError, NonPositiveElement
+from sumset_ramsey.errors import BadParams, DivisibilityError, DomainError, NonPositiveElement
 
 
 def _sumset(B, C, m):
@@ -144,6 +144,26 @@ def test_common_validation():
     with pytest.raises(BadParams):
         # the variant's own parameters are missing
         WitnessParams(variant="StepI", a=1, b=2, r=2)
+    # a non-integer field is refused, never truncated
+    valid = {
+        "StepI": dict(s=1, t=1, d_values=(10, 20)),
+        "CaseI": dict(E=2, pairs=((10, 1),)),
+        "SituationI": dict(j=1, beta=1, L0=3, offsets=(1, 2), v_values=(30,)),
+        "SituationII": dict(xi=23, alpha=3, beta=1, L0=2, v_values=(40,)),
+    }
+    bad = [
+        ("StepI", dict(a=1.9)), ("StepI", dict(b=2.0)), ("StepI", dict(r=True)),
+        ("StepI", dict(d_tilde=0.5)), ("StepI", dict(s=1.5)), ("StepI", dict(t="1")),
+        ("StepI", dict(d_values=(10.7, 20))), ("CaseI", dict(E=2.0)),
+        ("CaseI", dict(pairs=((10, 1.5),))), ("CaseI", dict(pairs=(), v_values=(100.0,))),
+        ("SituationI", dict(j=1.0)), ("SituationI", dict(L0=3.5)),
+        ("SituationI", dict(offsets=(1, 2.0))), ("SituationII", dict(xi=23.0)),
+        ("SituationII", dict(alpha=False)),
+    ]
+    for variant, change in bad:
+        WitnessParams(variant=variant, a=1, b=2, r=2, **valid[variant])
+        with pytest.raises(DomainError, match="expected an integer"):
+            WitnessParams(variant=variant, **{**dict(a=1, b=2, r=2), **valid[variant], **change})
 
 
 def test_sizes():
