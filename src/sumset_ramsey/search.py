@@ -231,7 +231,8 @@ class _Scorer(_BlockScorer):
     Row t of the shift table is the color mask after `front` zero bytes,
     shifted right by t bits, so the mask shifted right by k bits is the window
     of 8 * nwords bytes from byte front + (k >> 3) of row k & 7.  A candidate
-    costs one AND per polynomial.  Lazy steps start with blocks of 8.
+    costs one AND per polynomial, over the words that can hold a survivor.
+    Lazy steps start with blocks of 8.
     """
 
     first = 8
