@@ -359,7 +359,15 @@ def _cmd_color(args, out: IO[str], err: IO[str]) -> int:
     return 0
 
 
+# |C| at which a greedy search stops unless --maxC says otherwise
+_GREEDY_MAXC = 8
+
+
 def _cmd_search(args, out: IO[str], err: IO[str]) -> int:
+    if args.strategy == "exhaustive":
+        _refuse(args, "to strategy exhaustive", {"candidate_cap": "--candidate-cap", "maxC": "--maxC"})
+    else:
+        _refuse(args, "to strategy greedy", {"sizeC": "--sizeC"})
     c = parse_coloring_spec(args.coloring, args.seed)
     w = c.window(args.N)
     if args.strategy == "exhaustive":
@@ -371,9 +379,8 @@ def _cmd_search(args, out: IO[str], err: IO[str]) -> int:
                 f"no configuration with |C| = {args.sizeC} at r = {args.r}"
             )
     else:
-        cfg = greedy_search(
-            w, args.polys, r=args.r, maxC=args.maxC, candidate_cap=args.candidate_cap
-        )
+        maxC = _GREEDY_MAXC if args.maxC is None else args.maxC
+        cfg = greedy_search(w, args.polys, r=args.r, maxC=maxC, candidate_cap=args.candidate_cap)
     doc = cfg.to_json(args.N)
     _emit(args.out, out, doc, record=doc.items())
     return 0
@@ -413,7 +420,25 @@ def _cmd_ap(args, out: IO[str], err: IO[str]) -> int:
     return 0
 
 
+# the flags of `dynamics` besides --op and --out, and the ones each op reads.
+# Those with defaults parse to None, so that a given one is told from a
+# defaulted one.
+_DYNAMICS_FLAGS = ("coloring", "y", "z", "N", "a", "b", "h", "M", "D", "K", "set", "file", "window_sizes", "seed")
+_DYNAMICS_READS = {
+    "return": ("coloring", "N", "a", "b", "h", "M", "window_sizes", "seed"),
+    "dichotomy": ("y", "z", "N", "a", "b", "D", "K", "seed"),
+    "density": ("M", "window_sizes", "set", "file"),
+}
+_DYNAMICS_DEFAULTS = {"a": 1, "b": 2, "h": 0, "seed": 0}
+
+
 def _cmd_dynamics(args, out: IO[str], err: IO[str]) -> int:
+    reads = _DYNAMICS_READS[args.op]
+    unread = {d: "--" + d.replace("_", "-") for d in _DYNAMICS_FLAGS if d not in reads}
+    _refuse(args, f"to --op {args.op}", unread)
+    for dest, value in _DYNAMICS_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     if args.op == "return":
         if args.coloring is None or args.N is None:
             raise ParseError("return op needs --coloring and --N", "", None)
@@ -556,10 +581,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polys", type=_listed(_poly_tok), required=True, help='e.g. "n,2n"')
     p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--r", type=_positive_int, required=True)
-    p.add_argument("--maxC", type=_positive_int, default=8)
+    p.add_argument("--maxC", type=_positive_int, help=f"greedy only (default {_GREEDY_MAXC})")
     p.add_argument("--strategy", choices=["greedy", "exhaustive"], default="greedy")
-    p.add_argument("--sizeC", type=_positive_int)
-    p.add_argument("--candidate-cap", dest="candidate_cap", type=_positive_int)
+    p.add_argument("--sizeC", type=_positive_int, help="exhaustive only")
+    p.add_argument("--candidate-cap", dest="candidate_cap", type=_positive_int, help="greedy only")
     _add_seed(p)
     _add_out(p)
     p.set_defaults(handler=_cmd_search)
@@ -590,9 +615,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", help="first word's coloring spec (dichotomy)")
     p.add_argument("--z", help="second word's coloring spec (dichotomy)")
     p.add_argument("--N", type=_positive_int)
-    p.add_argument("--a", type=_positive_int, default=1)
-    p.add_argument("--b", type=_positive_int, default=2)
-    p.add_argument("--h", type=int, default=0)
+    p.add_argument("--a", type=_positive_int, help="default 1")
+    p.add_argument("--b", type=_positive_int, help="default 2")
+    p.add_argument("--h", type=int, help="default 0")
     p.add_argument("--M", type=_positive_int)
     p.add_argument("--D", type=_positive_int)
     p.add_argument("--K", type=int)
@@ -601,7 +626,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-sizes", dest="window_sizes", type=_listed(_int_tok))
     _add_seed(p)
     _add_out(p)
-    p.set_defaults(handler=_cmd_dynamics)
+    # defaults are filled in by the handler, once it has refused unread flags
+    p.set_defaults(handler=_cmd_dynamics, seed=None)
 
     p = sub.add_parser("witness", help="build and check a witness pair")
     p.add_argument("--variant", required=True)

@@ -4,8 +4,9 @@ The polynomial type is the common currency of the package: coefficients are
 arbitrary-precision Python ints, evaluation is exact Horner.  Its array layer
 answers the exact questions the constructions ask of an integer polynomial:
 ``values`` gives n + P(x) over an integer array, ``first_at_least`` the least
-m with n + P(m) >= t for many t at once, and ``increasing_from`` the m from
-which P increases.  One rule, ``_fits_int64``, decides when int64 arithmetic
+m with n + P(m) >= t for many t at once (a search over levels of probes,
+shared by all t at the first level, whose positions never wrap), and
+``increasing_from`` the m from which P increases.  One rule, ``_fits_int64``, decides when int64 arithmetic
 is exact; past it the values are Python ints in object arrays.  Integers
 handed in from outside take one rule too, ``int_array``: int64 when every
 value fits, Python ints in an object array otherwise.  On top of it
@@ -300,33 +301,59 @@ def values(P: IntPolynomial, xs, n: int = 0) -> np.ndarray:
 def _horner(P: IntPolynomial, xs: np.ndarray, n: int, dtype) -> np.ndarray:
     """n + P(xs) by Horner in dtype, which the caller has chosen by the int64 rule."""
     xs = xs.astype(dtype, copy=False)
-    acc = np.full(xs.shape, P.coeffs[-1], dtype=dtype)
-    for c in reversed(P.coeffs[:-1]):
-        acc *= xs
+    # Horner from lead * x; the constant term is 0, so the last step multiplies
+    acc = xs * P.coeffs[-1]
+    for c in P.coeffs[-2:0:-1]:
         if c:
             acc += c
-    acc += n
+        acc *= xs
+    if n:
+        acc += n
     return acc
 
 
-# numpy call overhead of one bisection step, in int64 evaluations.  Measured
-# on triple and geo3 (2 vCPUs): the dense pass wins below M of about 3*10^4
-# (2.5x at 10^4) and the bisection above it.
+# numpy call overhead of one search level, in int64 evaluations.  Measured
+# on triple and geo3 (2 vCPUs) against levels of base 2: one dense level wins
+# below M of about 3*10^4 (2.5x at 10^4) and the bisection above it.
 _STEP_OVERHEAD = 2048
 # one evaluation in an object array, in int64 evaluations: each Horner step is
 # a Python operation (55-135x measured for degrees 1 to 7, 2 vCPUs)
 _OBJECT_EVAL = 64
 
 
+def _search_base(w: int, cuts: int, unit: int) -> int:
+    """The base b of the cheapest search over w answers for `cuts` cuts.
+
+    L levels of base b = ceil(w^(1/L)) cost L * _STEP_OVERHEAD and
+    unit * (b - 1) * (1 + (L - 1) * cuts) evaluations: level 1 probes b - 1
+    points shared by every cut, each later level b - 1 points per cut.
+    """
+    best, base, L, b = None, w, 1, w
+    while True:
+        cost = L * _STEP_OVERHEAD + unit * (b - 1) * (1 + (L - 1) * cuts)
+        if best is None or cost < best:
+            best, base = cost, b
+        L += 1
+        # b = 2 bounds the cost of L levels and of every L after it from below
+        if b <= 2 or L * _STEP_OVERHEAD + unit * (1 + (L - 1) * cuts) >= best:
+            return base
+        b = max(2, math.ceil(w ** (1 / L)))
+
+
 def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None) -> np.ndarray:
     """Least m >= lo with n + P(m) >= t, for each t in ts, as int64.
 
     P is strictly increasing on [lo, oo) and every t <= n + P(hi); an omitted
-    hi is found by doubling.  A bisection over all t at once takes
-    ceil(log2(hi - lo + 1)) steps of len(ts) evaluations each, plus numpy's
-    per-call overhead; one pass over [lo, hi] costs hi - lo + 1 evaluations.
-    Evaluations are costed in the dtype chosen for them, and the cheaper way
-    runs.
+    hi is found by doubling.  The search runs over levels.  Before a level,
+    each cut's answer lies in a bracket [a, a + g), cut at hi; the level
+    splits it into parts of ceil(g / b), probes the last point of each part
+    but the top one, and moves a past the probes below t.  All cuts share the
+    first bracket [lo, hi], so level 1 probes one set of points for all of
+    them; each later level probes up to b - 1 points per cut.
+    ``_search_base`` picks b, with evaluations costed in the dtype chosen for
+    them: b = hi - lo + 1 is one pass over [lo, hi), b = 2 a bisection.
+    Probe positions are int64 while hi < 2^62 and Python ints past it, so
+    none of them wraps.
     """
     ts = int_array(ts)
     if hi is None:
@@ -336,19 +363,31 @@ def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None)
     # one dtype for every evaluation on [lo, hi], and ts in it
     dtype = np.int64 if ts.dtype == np.int64 and _fits_int64(P, n, max(1, abs(lo), abs(hi))) else object
     ts = ts.astype(dtype, copy=False)
-    steps = (hi - lo).bit_length()
-    unit = 1 if dtype is np.int64 else _OBJECT_EVAL
-    if steps * (ts.shape[0] * unit + _STEP_OVERHEAD) < (hi - lo + 1) * unit:
-        a = np.full(ts.shape[0], lo, dtype=np.int64)
-        b = np.full(ts.shape[0], hi, dtype=np.int64)
-        for _ in range(steps):
-            mid = (a + b) // 2
-            up = _horner(P, mid, n, dtype) >= ts
-            b = np.where(up, mid, b)
-            a = np.where(up, a, mid + 1)
-        return b
-    vals = _horner(P, np.arange(lo, hi + 1, dtype=np.int64), n, dtype)
-    return lo + np.searchsorted(vals, ts, side="left")
+    # positions: a bracket start plus an offset below g stays under 2^63
+    pos = np.int64 if 0 <= lo and hi < (1 << 62) else object
+    g = hi - lo + 1
+    if g == 1 or not ts.shape[0]:
+        return np.full(ts.shape[0], lo, dtype=np.int64)
+    b = _search_base(g, ts.shape[0], 1 if dtype is np.int64 else _OBJECT_EVAL)
+    part = -(-g // b)
+    vals = _horner(P, np.arange(lo + part - 1, hi, part, dtype=pos), n, dtype)
+    below = np.searchsorted(vals, ts, side="left")
+    if part == 1:
+        return lo + below
+    a = lo + part * below.astype(pos, copy=False)
+    col = ts[:, None]
+    while part > 1:
+        g, part = part, -(-part // b)
+        offs = np.arange(part - 1, g - 1, part, dtype=pos)
+        # one probe per cut, a bisection step, keeps the arrays flat
+        at, t = (a + offs[0], ts) if offs.shape[0] == 1 else (a[:, None] + offs, col)
+        if dtype is np.int64:
+            # a bracket cut at hi puts probes past it, where n + P may leave
+            # int64; they would reach t anyway
+            np.minimum(at, hi, out=at)
+        below = _horner(P, at, n, dtype) < t
+        a += part * (below if below.ndim == 1 else below.sum(axis=1)).astype(pos, copy=False)
+    return a.astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=256)

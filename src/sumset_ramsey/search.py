@@ -225,6 +225,32 @@ class _BlockScorer:
         return out
 
 
+class _Layout:
+    """What a window scorer needs of the pool alone, shared by every color.
+
+    The shift table's geometry (`front` zero bytes, rows of `nbytes`, windows
+    of `nwords` words), each candidate's window start per polynomial, the
+    live-word bounds, the block size and the survivor words of the empty C.
+    """
+
+    def __init__(self, w: ColorWindow, pvals: list[np.ndarray]):
+        self.nwords = nwords = (w.n + 64) // 64
+        lo = min(0, min(int(pv.min()) for pv in pvals))
+        hi = max(0, max(int(pv.max()) for pv in pvals))
+        self.front = front = -(lo // 8)
+        self.nbytes = nbytes = front + (hi >> 3) + 8 * nwords
+        self.starts = [(pv & 7) * nbytes + front + (pv >> 3) for pv in pvals]
+        # a candidate keeps no b above N - max_P P(c), so its words past that
+        # bit's word are zero.  Pool shifts stop at n + 1, so no count is
+        # negative; a count past nwords is cut by the length of vw.  Suffix
+        # maxima over the pool bound every block that starts at j by live[j]
+        live = (w.n - reduce(np.maximum, pvals)) // 64 + 1
+        self.live = np.maximum.accumulate(live[::-1])[::-1]
+        self.block = max(1, _BLOCK_BYTES // (8 * nwords))
+        # survivors of the empty C: every b in [1, N]
+        self.full = _bit_range(1, w.n + 1, nwords)
+
+
 class _Scorer(_BlockScorer):
     """Survivor words over the window: bit b is position b.
 
@@ -232,17 +258,15 @@ class _Scorer(_BlockScorer):
     shifted right by t bits, so the mask shifted right by k bits is the window
     of 8 * nwords bytes from byte front + (k >> 3) of row k & 7.  A candidate
     costs one AND per polynomial, over the words that can hold a survivor.
-    Lazy steps start with blocks of 8.
+    Lazy steps start with blocks of 8.  A search over several colors builds
+    the pool's `_Layout` once and hands it to each.
     """
 
     first = 8
 
-    def __init__(self, w: ColorWindow, color: int, pvals: list[np.ndarray]):
-        nwords = (w.n + 64) // 64
-        lo = min(0, min(int(pv.min()) for pv in pvals))
-        hi = max(0, max(int(pv.max()) for pv in pvals))
-        front = -(lo // 8)
-        nbytes = front + (hi >> 3) + 8 * nwords
+    def __init__(self, w: ColorWindow, color: int, pvals: list[np.ndarray], layout: _Layout | None = None):
+        lay = layout if layout is not None else _Layout(w, pvals)
+        nwords, front, nbytes = lay.nwords, lay.front, lay.nbytes
         # one full-size temporary at a time: the color test is packed before
         # the table exists, and the other rows are filled a chunk of columns
         # at a time
@@ -265,16 +289,7 @@ class _Scorer(_BlockScorer):
         self._windows = np.ndarray(
             (8 * nbytes - 8 * nwords + 1, nwords), np.uint64, table, strides=(1, 8)
         )
-        self._starts = [(pv & 7) * nbytes + front + (pv >> 3) for pv in pvals]
-        # a candidate keeps no b above N - max_P P(c), so its words past that
-        # bit's word are zero.  Pool shifts stop at n + 1, so no count is
-        # negative; a count past nwords is cut by the length of vw.  Suffix
-        # maxima over the pool bound every block that starts at j by live[j]
-        live = (w.n - reduce(np.maximum, pvals)) // 64 + 1
-        self._live = np.maximum.accumulate(live[::-1])[::-1]
-        self._block = max(1, _BLOCK_BYTES // (8 * nwords))
-        # survivors of the empty C: every b in [1, N]
-        self.full = _bit_range(1, w.n + 1, nwords)
+        self._starts, self._live, self._block, self.full = lay.starts, lay.live, lay.block, lay.full
 
     def survivors_with(self, vw: np.ndarray, rows) -> np.ndarray:
         """Survivor words vw after adding each pool candidate in `rows`, one row each.
@@ -371,10 +386,10 @@ class _MatrixScorer(_BlockScorer):
 
 
 def _greedy_one_color(
-    w: ColorWindow, r: int, maxC: int, color: int, pool: np.ndarray, pvals: list[np.ndarray]
+    w: ColorWindow, r: int, maxC: int, color: int, pool: np.ndarray, pvals: list[np.ndarray], layout: _Layout
 ) -> tuple[list[int], int, tuple[int, ...]] | None:
     """Greedy C growth for one color: (C, survivor count, B)."""
-    scorer: _BlockScorer = _Scorer(w, color, pvals)
+    scorer: _BlockScorer = _Scorer(w, color, pvals, layout)
     vw = scorer.full
     # the survivor matrix takes over at this many survivors: a survivor's
     # matrix row costs about as much as 8 words of window scan
@@ -429,8 +444,9 @@ def greedy_search(
     found = []  # ((|C|, survivors, -color), color, (C, survivors, B)) per color
     if pool.shape[0]:
         pvals = _pool_shifts(w, polys, pool)
+        layout = _Layout(w, pvals)
         for color in range(1, w.palette + 1):
-            got = _greedy_one_color(w, r, maxC, color, pool, pvals)
+            got = _greedy_one_color(w, r, maxC, color, pool, pvals, layout)
             if got is not None:
                 found.append(((len(got[0]), got[1], -color), color, got))
     if not found:
@@ -482,8 +498,9 @@ def exhaustive_search(
                 j = start + i
                 extend(scorer, color, scorer.survivors_with(vw, slice(j, j + 1))[0], chosen + [j])
 
+    layout = _Layout(w, pvals)
     for color in range(1, w.palette + 1):
-        scorer = _Scorer(w, color, pvals)
+        scorer = _Scorer(w, color, pvals, layout)
         extend(scorer, color, scorer.full, [])
         if best is not None and best[0] == color:
             best = (color, best[1], scorer.lowest(best[2], r))
@@ -538,7 +555,8 @@ def _bad_set_by_runs(
     keep = np.ones(starts.shape[0], dtype=bool)
     for s, good in runs:
         keep &= good[np.searchsorted(s, starts, side="right") - 1]
-    lens = np.diff(np.append(starts, M + 1))[keep]
+    # the last run ends at M; M + 1 itself may not fit int64
+    lens = np.append(np.diff(starts), M + 1 - int(starts[-1]))[keep]
     offsets = np.cumsum(lens) - lens
     return np.repeat(starts[keep] - offsets, lens) + np.arange(int(lens.sum()), dtype=np.int64)
 

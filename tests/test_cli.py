@@ -712,6 +712,27 @@ PINNED_OUTPUTS = [
     ('audit --coloring triple:1,2,3 --polys n,2n --n-max 2 --M 100 --n 1', 2,
      '',
      '{"error": "ParseError", "message": "--n does not apply without --growth", "text": "", "pos": null}\n'),
+    ('search --coloring periodic:12 --polys n,2n --N 60 --r 2 --sizeC 2', 2,
+     '',
+     '{"error": "ParseError", "message": "--sizeC does not apply to strategy greedy", "text": "", "pos": null}\n'),
+    ('search --coloring periodic:112 --polys n,2n --N 40 --r 2 --strategy exhaustive --sizeC 2 --candidate-cap 5', 2,
+     '',
+     '{"error": "ParseError", "message": "--candidate-cap does not apply to strategy exhaustive", "text": "", "pos": null}\n'),
+    ('search --coloring periodic:112 --polys n,2n --N 40 --r 2 --strategy exhaustive --sizeC 2 --maxC 8', 2,
+     '',
+     '{"error": "ParseError", "message": "--maxC does not apply to strategy exhaustive", "text": "", "pos": null}\n'),
+    ('dynamics --op return --coloring periodic:12 --N 100 --M 5 --set 1,2 --D 5 --y periodic:1', 2,
+     '',
+     '{"error": "ParseError", "message": "--y does not apply to --op return", "text": "", "pos": null}\n'),
+    ('dynamics --op dichotomy --y periodic:12 --z periodic:21 --N 100 --D 5 --K 10 --coloring periodic:12 --M 7 --set 3', 2,
+     '',
+     '{"error": "ParseError", "message": "--coloring does not apply to --op dichotomy", "text": "", "pos": null}\n'),
+    ('dynamics --op dichotomy --y periodic:12 --z periodic:21 --N 100 --D 5 --K 10 --h 0', 2,
+     '',
+     '{"error": "ParseError", "message": "--h does not apply to --op dichotomy", "text": "", "pos": null}\n'),
+    ('dynamics --op density --set 1,2,5 --M 10 --window-sizes 2 --a 1', 2,
+     '',
+     '{"error": "ParseError", "message": "--a does not apply to --op density", "text": "", "pos": null}\n'),
     ('search --coloring periodic:12 --polys n,2n --N 6 --r 7', 1,
      '',
      '{"error": "NoConfiguration", "message": "no single candidate keeps 7 survivors in any color"}\n'),

@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumset_ramsey import (
@@ -693,24 +693,89 @@ def test_first_at_least_matches_linear_scan(text, n, span, picks, give_hi):
         assert got.tolist() == want
 
 
-@pytest.mark.parametrize("n,dense", [(0, True), (2**62, False)])
-def test_first_at_least_costs_the_chosen_dtype(monkeypatch, n, dense):
-    # 48 cuts over m <= 10^4 of 2n^4: int64 evaluations are cheap enough for
-    # one dense pass, object evaluations are not
+def _first_by_bisection(P, n, t, lo, hi):
+    # Python ints throughout: no midpoint can wrap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if n + P(mid) >= t:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+# bracket ends at small m, around 2^62 (where probe positions leave int64) and
+# just below 2^63
+_ENDS = st.one_of(
+    st.integers(1, 3000),
+    st.integers(2**62 - 3000, 2**62 + 3000),
+    st.integers(2**63 - 3001, 2**63 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.sampled_from(_LAYER_POLYS),
+    n=st.one_of(st.integers(-500, 500), st.just(2**62)),
+    ends=st.tuples(_ENDS, _ENDS).map(sorted),
+    data=st.data(),
+)
+@example(text="n", n=0, ends=[10, 2**63 - 4], data=None)
+def test_first_at_least_matches_python_int_bisection(text, n, ends, data):
+    # cuts at, just below and just above values of n + P at m drawn near both
+    # ends and anywhere in [lo, hi]; every cost setting must give the answer
+    # of a bisection on Python ints
+    P = parse_poly(text)
+    lo, hi = max(ends[0], poly.increasing_from(P)), max(ends[1], poly.increasing_from(P))
+    if data is None:
+        ts = [2**62, 2**63 - 100]
+    else:
+        m = st.one_of(st.integers(lo, min(hi, lo + 50)), st.integers(max(lo, hi - 50), hi), st.integers(lo, hi))
+        picks = data.draw(st.lists(st.tuples(m, st.integers(-1, 1)), max_size=12), label="picks")
+        ts = [min(n + P(k) + d, n + P(hi)) for k, d in picks]
+    want = [_first_by_bisection(P, n, t, lo, hi) for t in ts]
+    # a huge per-level overhead makes one dense level the cheapest, so it
+    # runs only over spans small enough to materialize
+    overheads = (0, poly._STEP_OVERHEAD, 10**12)
+    for overhead in overheads if hi - lo <= 10**4 else overheads[:2]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_STEP_OVERHEAD", overhead)
+            got = poly.first_at_least(P, n, ts, lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+
+def test_first_at_least_near_2_63():
+    # a midpoint (a + b) // 2 in int64 would wrap here and answer 2^63 - 4 twice
+    P = parse_poly("n")
+    got = poly.first_at_least(P, 0, [2**62, 2**63 - 100], 10, 2**63 - 4)
+    assert got.tolist() == [2**62, 2**63 - 100]
+
+
+@pytest.mark.parametrize("n,int64", [(0, True), (2**62, False)])
+def test_first_at_least_costs_the_chosen_dtype(monkeypatch, n, int64):
+    # 48 cuts over m <= 10^4 of 2n^4: cheap int64 evaluations buy a few wide
+    # levels, costly object evaluations more narrow ones
     P = parse_poly("2n^4")
-    evaluated = []
     horner = poly._horner
 
-    def counting(P, xs, n, dtype):
-        evaluated.append(xs.shape[0])
-        return horner(P, xs, n, dtype)
+    def levels(n):
+        evaluated = []
 
-    monkeypatch.setattr(poly, "_horner", counting)
-    ts = np.array([n + P(m) for m in range(200, 10**4, 205)], dtype=np.int64)
-    got = poly.first_at_least(P, n, ts, 1, 10**4)
-    assert got.tolist() == list(range(200, 10**4, 205))
-    assert (evaluated == [10**4]) == dense
-    assert sum(evaluated) <= 10**4
+        def counting(P, xs, n, dtype):
+            evaluated.append(xs.size)
+            return horner(P, xs, n, dtype)
+
+        monkeypatch.setattr(poly, "_horner", counting)
+        ts = np.array([n + P(m) for m in range(200, 10**4, 205)], dtype=np.int64)
+        got = poly.first_at_least(P, n, ts, 1, 10**4)
+        monkeypatch.setattr(poly, "_horner", horner)
+        assert got.tolist() == list(range(200, 10**4, 205))
+        assert sum(evaluated) <= 10**4
+        return len(evaluated)
+
+    other = 2**62 if int64 else 0
+    assert (levels(n) < levels(other)) == int64
 
 
 def test_first_at_least_list_cuts_take_the_int64_path(monkeypatch):
@@ -728,7 +793,7 @@ def test_first_at_least_list_cuts_take_the_int64_path(monkeypatch):
     ms = list(range(200, 10**4, 205))
     got = poly.first_at_least(P, 0, [P(m) for m in ms], 1, 10**4)
     assert got.tolist() == ms
-    assert dtypes == [np.int64]
+    assert set(dtypes) == {np.int64}
     dtypes.clear()
     got = poly.first_at_least(P, 0, [P(m) for m in ms] + [2**63], 1)
     assert got.tolist() == ms + [poly.first_at_least(P, 0, np.array([2**63], dtype=object), 1)[0]]

@@ -632,6 +632,36 @@ def test_bad_set_triple_stabilizes():
     assert rep.max_element <= 5000
 
 
+def _power2_bad_count(n, color, M):
+    # power2:1,2 colors [1, 4) and each band [2^j, 2^(j+1)), j >= 2, by the
+    # parity of j (even: 1); m is bad when n + m and n + 2m land in bands of
+    # the color.  For j >= 2 only equal bands can pair, which gives the closed
+    # form [2^j - n, (2^(j+1) - n - 1) // 2] per band j of the color.
+    bands = [(1, 4, 1)] + [(1 << j, 1 << (j + 1), 2 - (j % 2 == 0)) for j in range(2, 66)]
+    ours = [(lo, hi) for lo, hi, c in bands if c == color]
+    count = 0
+    for lo1, hi1 in ours:
+        for lo2, hi2 in ours:
+            first = max(1, lo1 - n, -(-(lo2 - n) // 2))
+            last = min(M, hi1 - 1 - n, (hi2 - 1 - n) // 2)
+            count += max(0, last - first + 1)
+    return count
+
+
+@pytest.mark.parametrize("M", [2**63 - 4, 2**63 - 3, 2**63 - 2, 2**63 - 1])
+def test_bad_set_power2_up_to_int64_max(M):
+    # the runs of n + m and n + 2m reach past 2^63; M + 1 itself need not fit
+    c = power_2coloring(1, 2)
+    for n, color in ((200, 2), (1, 1), (5, 2)):
+        S, rep = bad_set(c, n, LIN, color, M)
+        assert S.dtype == np.int64
+        assert rep.count == len(S) == _power2_bad_count(n, color, M)
+        assert S.tolist() == sorted(set(S.tolist())) and 1 <= S[0] and S[-1] <= M
+        for m in S.tolist():
+            assert c.color(n + m) == color and c.color(n + 2 * m) == color
+    assert [_power2_bad_count(n, color, 2**63 - 4) for n, color in ((200, 2), (1, 1), (5, 2))] == [2827, 33, 92]
+
+
 def test_bad_set_matches_enumeration():
     rng = random.Random(606)
     for _ in range(25):
@@ -735,8 +765,8 @@ def test_bad_set_matches_scalar_oracle(spec, texts, n, M, color_draw):
     color_draw=st.integers(0, 5),
 )
 def test_bad_set_bisection_matches_dense_pass(spec, texts, n, M, color_draw):
-    # the cost rule picks the dense pass at small M: force each way of
-    # inverting n + P(m) at the cuts in turn
+    # the cost rule picks one dense level at small M: force many levels and
+    # one in turn
     if spec.startswith("case2"):
         texts = [t for t in texts if t not in BIG_POLYS] or ["n"]
     polys = tuple(parse_poly(t) for t in texts)
