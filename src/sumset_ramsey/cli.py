@@ -615,9 +615,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", help="first word's coloring spec (dichotomy)")
     p.add_argument("--z", help="second word's coloring spec (dichotomy)")
     p.add_argument("--N", type=_positive_int)
-    p.add_argument("--a", type=_positive_int, help="default 1")
-    p.add_argument("--b", type=_positive_int, help="default 2")
-    p.add_argument("--h", type=int, help="default 0")
+    p.add_argument("--a", type=_positive_int, help=f"default {_DYNAMICS_DEFAULTS['a']}")
+    p.add_argument("--b", type=_positive_int, help=f"default {_DYNAMICS_DEFAULTS['b']}")
+    p.add_argument("--h", type=int, help=f"default {_DYNAMICS_DEFAULTS['h']}")
     p.add_argument("--M", type=_positive_int)
     p.add_argument("--D", type=_positive_int)
     p.add_argument("--K", type=int)

@@ -6,11 +6,11 @@ answers the exact questions the constructions ask of an integer polynomial:
 ``values`` gives n + P(x) over an integer array, ``first_at_least`` the least
 m with n + P(m) >= t for many t at once (a search over levels of probes,
 shared by all t at the first level, whose positions never wrap), and
-``increasing_from`` the m from which P increases.  One rule, ``_fits_int64``, decides when int64 arithmetic
-is exact; past it the values are Python ints in object arrays.  Integers
-handed in from outside take one rule too, ``int_array``: int64 when every
-value fits, Python ints in an object array otherwise.  On top of it
-sit the growth map psi = Q o P^{-1} (evaluated in high-precision real
+``increasing_from`` the m from which P increases.  One rule,
+``_fits_int64``, decides when int64 arithmetic is exact; past it the values
+are Python ints in object arrays.  Integers handed in from outside take one
+rule too, ``int_array``: int64 when every value fits, Python ints in an
+object array otherwise.  On top of it sit the growth map psi = Q o P^{-1} (evaluated in high-precision real
 arithmetic), its degree/leading-ratio profile, and the band-offset computation
 for pairs of equal degree and equal leading coefficient.
 """
@@ -328,16 +328,18 @@ def _search_base(w: int, cuts: int, unit: int) -> int:
     unit * (b - 1) * (1 + (L - 1) * cuts) evaluations: level 1 probes b - 1
     points shared by every cut, each later level b - 1 points per cut.
     """
-    best, base, L, b = None, w, 1, w
-    while True:
-        cost = L * _STEP_OVERHEAD + unit * (b - 1) * (1 + (L - 1) * cuts)
-        if best is None or cost < best:
-            best, base = cost, b
+    base = b = w
+    L, best = 1, _STEP_OVERHEAD + unit * (w - 1)
+    while b > 2:
         L += 1
         # b = 2 bounds the cost of L levels and of every L after it from below
-        if b <= 2 or L * _STEP_OVERHEAD + unit * (1 + (L - 1) * cuts) >= best:
-            return base
+        if L * _STEP_OVERHEAD + unit * (1 + (L - 1) * cuts) >= best:
+            break
         b = max(2, math.ceil(w ** (1 / L)))
+        cost = L * _STEP_OVERHEAD + unit * (b - 1) * (1 + (L - 1) * cuts)
+        if cost < best:
+            best, base = cost, b
+    return base
 
 
 def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None) -> np.ndarray:
