@@ -354,8 +354,8 @@ def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None)
     them; each later level probes up to b - 1 points per cut.
     ``_search_base`` picks b, with evaluations costed in the dtype chosen for
     them: b = hi - lo + 1 is one pass over [lo, hi), b = 2 a bisection.
-    Probe positions are int64 while hi < 2^62 and Python ints past it, so
-    none of them wraps.
+    Probe positions are int64 while 0 <= lo and hi < 2^62, and Python ints
+    otherwise, so none of them wraps.
     """
     ts = int_array(ts)
     if hi is None:
@@ -377,12 +377,11 @@ def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None)
     if part == 1:
         return lo + below
     a = lo + part * below.astype(pos, copy=False)
-    col = ts[:, None]
     while part > 1:
         g, part = part, -(-part // b)
         offs = np.arange(part - 1, g - 1, part, dtype=pos)
         # one probe per cut, a bisection step, keeps the arrays flat
-        at, t = (a + offs[0], ts) if offs.shape[0] == 1 else (a[:, None] + offs, col)
+        at, t = (a + offs[0], ts) if offs.shape[0] == 1 else (a[:, None] + offs, ts[:, None])
         if dtype is np.int64:
             # a bracket cut at hi puts probes past it, where n + P may leave
             # int64; they would reach t anyway
