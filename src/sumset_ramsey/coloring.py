@@ -37,9 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-import mpmath
-import numpy as np
-
+from ._deps import mpmath, np
 from .errors import (
     BadPair,
     BadParams,
@@ -52,6 +50,7 @@ from .errors import (
 )
 from .poly import (
     GrowthCase,
+    I64_MAX,
     IntPolynomial,
     a_star,
     band_offset,
@@ -69,7 +68,6 @@ from .poly import (
 
 DEFAULT_WINDOW_CAP = 10_000_000
 WINDOW_CAP_ENV = "SUMSET_RAMSEY_NMAX"
-_I64_MAX = int(np.iinfo(np.int64).max)
 # colors are stored as uint8
 MAX_PALETTE = 255
 
@@ -268,7 +266,7 @@ class BreakpointColoring(Coloring):
             if self._last is not None and int(bps[0]) == self._last:
                 self._table[-1] = cols[0]
                 bps, cols = bps[1:], cols[1:]
-            fit = bps.shape[0] if bps.dtype == np.int64 else int(np.count_nonzero(bps <= _I64_MAX))
+            fit = bps.shape[0] if bps.dtype == np.int64 else int(np.count_nonzero(bps <= I64_MAX))
             self._bp64 = np.concatenate((self._bp64, bps[:fit].astype(np.int64)))
             self._tail.extend(bps[fit:].tolist())
             self._table = np.concatenate((self._table, cols))
@@ -281,7 +279,7 @@ class BreakpointColoring(Coloring):
 
     def _rank(self, z: int) -> int:
         """Number of breakpoints <= z."""
-        if z <= _I64_MAX:
+        if z <= I64_MAX:
             return int(np.searchsorted(self._bp64, z, side="right"))
         return self._bp64.shape[0] + bisect_right(self._tail, z)
 
@@ -298,8 +296,8 @@ class BreakpointColoring(Coloring):
             # every int64 z lies below the breakpoints of the tail
             return self._table[np.searchsorted(self._bp64, zs, side="right")]
         # a wide z ranks past every int64 breakpoint, then within the tail
-        wide = zs > _I64_MAX
-        ranks = np.searchsorted(self._bp64, np.where(wide, _I64_MAX, zs).astype(np.int64), side="right")
+        wide = zs > I64_MAX
+        ranks = np.searchsorted(self._bp64, np.where(wide, I64_MAX, zs).astype(np.int64), side="right")
         ranks[wide] += [bisect_right(self._tail, z) for z in zs[wide].tolist()]
         return self._table[ranks]
 
@@ -321,7 +319,7 @@ class BreakpointColoring(Coloring):
             i, j = self._rank(a), self._rank(hi)
             starts.append(a)
             colors = np.concatenate((colors, self._table[i : j + 1]))
-        if -_I64_MAX <= lo and hi <= _I64_MAX:
+        if -I64_MAX <= lo and hi <= I64_MAX:
             return np.concatenate((np.array(starts, dtype=np.int64), self._bp64[i:j])), colors
         n64 = self._bp64.shape[0]
         cuts = self._bp64[i:j].tolist() + self._tail[max(i - n64, 0) : max(j - n64, 0)]

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._deps import np
 from .coloring import WINDOW_CAP_ENV, ColorWindow, Coloring, window_cap
 from .errors import BadPair, DomainError, WindowOverrun
 

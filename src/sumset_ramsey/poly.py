@@ -26,9 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import mpmath
-import numpy as np
-
+from ._deps import mpmath, np
 from .errors import (
     DomainError,
     EqualPolynomials,
@@ -242,8 +240,7 @@ def format_poly(p: IntPolynomial) -> str:
 # exact evaluation and inversion over integer arrays
 # ---------------------------------------------------------------------------
 
-_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-_BOOLS = frozenset((bool, np.bool_))
+I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def int_value(x) -> int:
@@ -263,21 +260,21 @@ def int_array(xs) -> np.ndarray:
     xs is an ndarray or a sequence.  A uint64 array never wraps; float,
     string and bool arrays, and non-integer elements, raise DomainError.
     """
-    if isinstance(xs, (list, tuple)) and not _BOOLS.isdisjoint(map(type, xs)):
+    if isinstance(xs, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, xs)):
         # numpy would read a bool among ints as 0 or 1
-        bad = next(v for v in xs if type(v) in _BOOLS)
+        bad = next(v for v in xs if type(v) in (bool, np.bool_))
         raise DomainError(f"expected an integer, got {bad!r}")
     arr = np.asarray(xs)
     if arr.dtype.kind == "f" and not isinstance(xs, np.ndarray):
         # numpy makes floats of a list mixing int64 values with ones past 2^63
         arr = np.array(xs, dtype=object)
     kind = arr.dtype.kind
-    if kind == "i" or (kind == "u" and (arr.size == 0 or arr.max() <= _I64_MAX)):
+    if kind == "i" or (kind == "u" and (arr.size == 0 or arr.max() <= I64_MAX)):
         return arr.astype(np.int64, copy=False)
     if kind not in ("u", "O"):
         raise DomainError(f"expected integers, got a {arr.dtype} array")
     vals = [int_value(v) for v in arr.ravel().tolist()]
-    fits = not vals or (_I64_MIN <= min(vals) and max(vals) <= _I64_MAX)
+    fits = not vals or (I64_MIN <= min(vals) and max(vals) <= I64_MAX)
     return np.array(vals, dtype=np.int64 if fits else object).reshape(arr.shape)
 
 
@@ -335,7 +332,9 @@ def _search_base(w: int, cuts: int, unit: int) -> int:
         # b = 2 bounds the cost of L levels and of every L after it from below
         if L * _STEP_OVERHEAD + unit * (1 + (L - 1) * cuts) >= best:
             break
-        b = max(2, math.ceil(w ** (1 / L)))
+        # past the float range, 2^ceil(bits / L) stands in for the root
+        bits = w.bit_length()
+        b = max(2, math.ceil(w ** (1 / L)) if bits <= 1000 else 1 << -(-bits // L))
         cost = L * _STEP_OVERHEAD + unit * (b - 1) * (1 + (L - 1) * cuts)
         if cost < best:
             best, base = cost, b
@@ -343,10 +342,12 @@ def _search_base(w: int, cuts: int, unit: int) -> int:
 
 
 def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None) -> np.ndarray:
-    """Least m >= lo with n + P(m) >= t, for each t in ts, as int64.
+    """Least m >= lo with n + P(m) >= t, for each t in ts, as ``int_array``
+    gives them: int64 when every answer fits.
 
     P is strictly increasing on [lo, oo) and every t <= n + P(hi); an omitted
-    hi is found by doubling.  The search runs over levels.  Before a level,
+    hi is found by doubling from where the leading term alone reaches the
+    largest t.  The search runs over levels.  Before a level,
     each cut's answer lies in a bracket [a, a + g), cut at hi; the level
     splits it into parts of ceil(g / b), probes the last point of each part
     but the top one, and moves a past the probes below t.  All cuts share the
@@ -359,7 +360,10 @@ def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None)
     """
     ts = int_array(ts)
     if hi is None:
-        hi, top = max(lo, 1), max(ts.tolist(), default=n)
+        top = max(ts.tolist(), default=n)
+        # lead * x^deg >= top - n from x = 2^ceil(bits / deg) on, in exact integers
+        bits = max(0, (top - n) // P.coeffs[-1]).bit_length()
+        hi = max(lo, 1, 1 << -(-bits // P.degree))
         while n + P(hi) < top:
             hi *= 2
     # one dtype for every evaluation on [lo, hi], and ts in it
@@ -369,14 +373,12 @@ def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None)
     pos = np.int64 if 0 <= lo and hi < (1 << 62) else object
     g = hi - lo + 1
     if g == 1 or not ts.shape[0]:
-        return np.full(ts.shape[0], lo, dtype=np.int64)
+        return int_array([lo] * ts.shape[0])
     b = _search_base(g, ts.shape[0], 1 if dtype is np.int64 else _OBJECT_EVAL)
     part = -(-g // b)
     vals = _horner(P, np.arange(lo + part - 1, hi, part, dtype=pos), n, dtype)
-    below = np.searchsorted(vals, ts, side="left")
-    if part == 1:
-        return lo + below
-    a = lo + part * below.astype(pos, copy=False)
+    below = np.searchsorted(vals, ts, side="left").astype(pos, copy=False)
+    a = lo + (below if part == 1 else part * below)
     while part > 1:
         g, part = part, -(-part // b)
         offs = np.arange(part - 1, g - 1, part, dtype=pos)
@@ -388,7 +390,7 @@ def first_at_least(P: IntPolynomial, n: int, ts, lo: int, hi: int | None = None)
             np.minimum(at, hi, out=at)
         below = _horner(P, at, n, dtype) < t
         a += part * (below if below.ndim == 1 else below.sum(axis=1)).astype(pos, copy=False)
-    return a.astype(np.int64, copy=False)
+    return a if pos is np.int64 else int_array(a)
 
 
 @lru_cache(maxsize=256)

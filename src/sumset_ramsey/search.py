@@ -33,12 +33,11 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
-import mpmath
-import numpy as np
-
+from ._deps import mpmath, np
 from .coloring import BreakpointColoring, ColorWindow, Coloring
 from .errors import DomainError, EmptySet, NoConfiguration
 from .poly import (
+    I64_MAX,
     IntPolynomial,
     first_at_least,
     format_poly,
@@ -161,10 +160,8 @@ def _candidates(w: ColorWindow, polys: Sequence[IntPolynomial], cap: int | None 
 # for a block to stay in cache
 _BLOCK_BYTES = 1 << 18
 
-# table columns filled per numpy call while building the shift table, and
-# the right shifts of its rows 1..7
+# table columns filled per numpy call while building the shift table
 _TABLE_CHUNK = 1 << 14
-_ROW_SHIFTS = np.arange(1, 8, dtype=np.uint16)[:, None]
 
 # positions gathered per numpy call while building the survivor matrix: one
 # word of 64 survivors against 1024 pool candidates
@@ -276,13 +273,14 @@ class _Scorer(_BlockScorer):
         del packed
         # byte i of row t: bits t.. of byte i of row 0, then the low bits of
         # byte i + 1, i.e. the 16-bit pair (i + 1, i) shifted right by t
+        shifts = np.arange(1, 8, dtype=np.uint16)[:, None]
         for a in range(0, nbytes - 1, _TABLE_CHUNK):
             b = min(a + _TABLE_CHUNK, nbytes - 1)
             pair = table[0, a + 1 : b + 1].astype(np.uint16)
             pair <<= 8
             pair |= table[0, a:b]
-            np.right_shift(pair, _ROW_SHIFTS, out=table[1:, a:b], casting="unsafe")
-        table[1:, -1] = table[0, -1] >> _ROW_SHIFTS[:, 0]
+            np.right_shift(pair, shifts, out=table[1:, a:b], casting="unsafe")
+        table[1:, -1] = table[0, -1] >> shifts[:, 0]
         # a sliding window view of the table's bytes, read as words: window
         # t * nbytes + k is the nwords words from byte k of row t (the windows
         # that run into the next row are never read)
@@ -578,7 +576,8 @@ def bad_set(
     """All m <= M with every n + P(m) colored `color`, plus its report.
 
     On a breakpoint coloring the cost follows the breakpoints that n + P(m)
-    crosses, not M; other colorings are evaluated at every m, in chunks.
+    crosses, not M, and M is at most 2^63 - 1; other colorings are evaluated
+    at every m, in chunks.
     """
     n, M = int_value(n), int_value(M)
     if M < 1:
@@ -586,6 +585,9 @@ def bad_set(
     color = _check_color(coloring, color)
     polys = tuple(polys)
     if isinstance(coloring, BreakpointColoring):
+        if M > I64_MAX:
+            # the runs are expanded into an int64 array
+            raise DomainError(f"horizon {M} is past 2^63 - 1, the largest a breakpoint bad set takes")
         elems = _bad_set_by_runs(coloring, n, polys, color, M)
     else:
         keep_chunks: list[np.ndarray] = []

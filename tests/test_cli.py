@@ -557,6 +557,21 @@ def test_entry_point_help():
 
 # Exact stdout, stderr and exit code per subcommand and --out format: the
 # emitter and the coloring grammar may change shape, these bytes may not.
+def test_color_recursive_past_int64_levels():
+    # past about P(2^63) the ladder inverts P at j beyond int64
+    N = 10**49
+    code, out, err = _run("color", "--coloring", "recursive:P=n^2,Q=n^3,a0=15", "--N", str(N))
+    assert code == 0, err
+    runs = _validated(out)["runs"]
+    assert len(runs) == 13 and sum(length for _, length in runs) == N
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+    c = parse_coloring_spec("recursive:P=n^2,Q=n^3,a0=15")
+    start = 1
+    for color, length in runs:
+        assert c.color(start) == c.color(start + length - 1) == color
+        start += length
+
+
 PINNED_OUTPUTS = [
     ('color --coloring power2:1,2 --N 20 --out json', 0,
      '{"descriptor": "power2:1,2", "N": 20, "palette": 2, "counts": [12, 8], "runs": [[1, 7], [2, 8], [1, 5]]}\n',
@@ -733,6 +748,13 @@ PINNED_OUTPUTS = [
     ('dynamics --op density --set 1,2,5 --M 10 --window-sizes 2 --a 1', 2,
      '',
      '{"error": "ParseError", "message": "--a does not apply to --op density", "text": "", "pos": null}\n'),
+    # breakpoint bad sets are int64 arrays, so a horizon past 2^63 - 1 is refused
+    ('audit --coloring power2:1,2 --polys n,2n --n-max 1 --M 10000000000000000000', 1,
+     '',
+     '{"error": "DomainError", "message": "horizon 10000000000000000000 is past 2^63 - 1, the largest a breakpoint bad set takes"}\n'),
+    ('audit --coloring power2:1,2 --polys n,2n --n 1 --color 1 --growth 100,10000000000000000000', 1,
+     '',
+     '{"error": "DomainError", "message": "horizon 10000000000000000000 is past 2^63 - 1, the largest a breakpoint bad set takes"}\n'),
     ('search --coloring periodic:12 --polys n,2n --N 6 --r 7', 1,
      '',
      '{"error": "NoConfiguration", "message": "no single candidate keeps 7 survivors in any color"}\n'),

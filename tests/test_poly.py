@@ -752,6 +752,37 @@ def test_first_at_least_near_2_63():
     assert got.tolist() == [2**62, 2**63 - 100]
 
 
+@pytest.mark.parametrize("give_hi", [False, True])
+def test_first_at_least_answers_past_int64(give_hi):
+    # answers follow int_array's rule: Python ints once one passes 2^63 - 1
+    P = parse_poly("n^2 - n")
+    ms = [3, 2**62 + 5, 2**63 - 1, 2**63, 10**30]
+    ts = [P(m) - 1 for m in ms]
+    got = poly.first_at_least(P, 0, ts, 1, 10**30 if give_hi else None)
+    assert got.dtype == object and got.tolist() == ms
+    got = poly.first_at_least(P, 0, ts[:3], 1, 10**30 if give_hi else None)
+    assert got.dtype == np.int64 and got.tolist() == ms[:3]
+    # an empty or one-point bracket answers lo in the same rule
+    assert poly.first_at_least(P, 0, [ts[-1]], 10**30, 10**30).tolist() == [10**30]
+    assert poly.first_at_least(P, 0, [], 2**64).dtype == np.int64
+
+
+@pytest.mark.parametrize("text", ["n", "3n^2", "2n^5 + n", "n^7 + 4n^3"])
+@pytest.mark.parametrize("top", [1, 5000, 10**18, 2**1100], ids=["1", "5000", "10^18", "2^1100"])
+def test_first_at_least_omitted_hi_starts_at_the_leading_term(monkeypatch, text, top):
+    # with no negative coefficient the leading term's bound already reaches
+    # top, so the doubling only checks it once; tops past 2^1024 need
+    # integer arithmetic
+    P = parse_poly(text)
+    calls = []
+    call = type(P).__call__
+    monkeypatch.setattr(type(P), "__call__", lambda self, x: calls.append(x) or call(self, x))
+    got = poly.first_at_least(P, 7, [top], 1)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got.tolist() == [_first_by_bisection(P, 7, top, 1, max(1, top))]
+
+
 @pytest.mark.parametrize("n,int64", [(0, True), (2**62, False)])
 def test_first_at_least_costs_the_chosen_dtype(monkeypatch, n, int64):
     # 48 cuts over m <= 10^4 of 2n^4: cheap int64 evaluations buy a few wide

@@ -662,6 +662,27 @@ def test_bad_set_power2_up_to_int64_max(M):
     assert [_power2_bad_count(n, color, 2**63 - 4) for n, color in ((200, 2), (1, 1), (5, 2))] == [2827, 33, 92]
 
 
+@pytest.mark.parametrize("M", [2**62 - 1, 10**18])
+def test_bad_set_recursive_with_cuts_past_int64(M):
+    # n + m^3 passes 2^63, so the ladder inverts P past int64 on a fresh coloring
+    c = parse_coloring_spec("recursive:P=n^2,Q=n^3,a0=15")
+    S, rep = bad_set(c, 1, (parse_poly("n^2"), parse_poly("n^3")), 1, M)
+    assert S.tolist() == [1, 2] and rep.count == 2 and rep.stabilized
+    for m in (1, 2, 3, M // 2, M):
+        assert (m in (1, 2)) == (c.color(1 + m**2) == c.color(1 + m**3) == 1)
+
+
+def test_bad_set_refuses_breakpoint_horizon_past_int64():
+    # the runs would be expanded into an int64 array
+    c = power_2coloring(1, 2)
+    for M in (2**63, 10**19):
+        with pytest.raises(DomainError, match="past 2\\^63 - 1"):
+            bad_set(c, 1, LIN, 1, M)
+        with pytest.raises(DomainError, match="past 2\\^63 - 1"):
+            bad_set_growth(c, 1, LIN, 1, [100, M])
+    assert bad_set(c, 1, LIN, 1, 2**63 - 1)[1].count == _power2_bad_count(1, 1, 2**63 - 1)
+
+
 def test_bad_set_matches_enumeration():
     rng = random.Random(606)
     for _ in range(25):
