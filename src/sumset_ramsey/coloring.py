@@ -3,8 +3,9 @@
 Every coloring is a total map from {1, 2, ...} onto a palette {1, ..., k}.
 Three families are built in:
 
-* interval colorings driven by exact rational band boundaries (2- and
-  3-palette geometric bands),
+* geometric band colorings: ``band_coloring(l, points)`` gives color i + 1
+  from ceil(points[i] * l^m) for every m >= 1 and color 1 below l, and
+  ``power2``, ``geo3`` and ``triple`` are its (l, points) choices,
 * band colorings for equal-degree, equal-lead polynomial pairs (the three
   part shapes from the band-offset split),
 * a recursive logarithmic-width coloring for pairs whose growth map expands
@@ -23,7 +24,7 @@ kind answers both dtypes in its own array kernel.  ``color`` is the scalar
 oracle on a path of its own.
 
 All membership decisions at integers are exact: rational boundaries are
-compared via integer cross-multiplication (ceil of a Fraction), polynomial
+ceilings by integer floor division of numerator and denominator, polynomial
 boundaries are exact integers, and the recursive construction's real levels
 are held in high-precision floats wide enough that integer rounding is stable.
 """
@@ -35,7 +36,7 @@ import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from ._deps import mpmath, np
 from .errors import (
@@ -91,10 +92,6 @@ def _check_palette(palette: int) -> int:
 
 def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +212,7 @@ class BreakpointColoring(Coloring):
     the breakpoints an int64 ndarray, an object ndarray of Python ints, or a
     short list, non-decreasing within and across blocks.  Color colors[i]
     holds from breakpoint i up to the next one; positions below the first
-    breakpoint get ``below``.  Equal breakpoints collapse into one, which
+    breakpoint get color 1.  Equal breakpoints collapse into one, which
     takes the color of the last of them, so a run equal to the last stored
     breakpoint recolors that breakpoint's segment.  A generator that stops
     leaves its last color for good.
@@ -224,13 +221,13 @@ class BreakpointColoring(Coloring):
     list of the Python ints past it.
     """
 
-    def __init__(self, palette: int, below: int, gen: Iterator[Block], descriptor: str):
+    def __init__(self, palette: int, gen: Iterator[Block], descriptor: str):
         self.palette = palette
         self.descriptor = descriptor
         self._gen = gen
         # _table[i] is the color from breakpoint i - 1 up to breakpoint i,
-        # _table[0] = below; breakpoint i is _bp64[i] or _tail[i - len(_bp64)]
-        self._table = np.array([below], dtype=np.uint8)
+        # _table[0] = 1; breakpoint i is _bp64[i] or _tail[i - len(_bp64)]
+        self._table = np.array([1], dtype=np.uint8)
         self._bp64 = np.zeros(0, dtype=np.int64)
         self._tail: list[int] = []
         # the largest breakpoint taken, math.inf once the generator stops
@@ -334,26 +331,30 @@ class BreakpointColoring(Coloring):
             yield color, bounds[i + 1] - bounds[i]
 
 
-def _interval_gen(points: Callable[[int], Iterable[tuple[Fraction, int]]]) -> Iterator[Block]:
-    """One block per m: the ceilings of the band points of points(m)."""
-    m = 1
-    while True:
-        pts = points(m)
-        yield [_ceil_frac(bound) for bound, _ in pts], [col for _, col in pts]
-        m += 1
+def band_coloring(l: Fraction, points: Sequence[Fraction], descriptor: str) -> BreakpointColoring:
+    """Geometric bands of ratio l: for each m >= 1, color i + 1 from
+    ceil(points[i] * l^m), where 1 = points[0] < points[1] < ... < l; below
+    l -> 1.  l^m = num/den goes from block to block by one exact multiply,
+    and each ceiling is one integer floor division."""
+    fracs = [Fraction(p) for p in points]
+
+    def gen() -> Iterator[Block]:
+        num, den = l.numerator, l.denominator
+        while True:
+            yield [-(-p.numerator * num // (p.denominator * den)) for p in fracs], range(1, len(fracs) + 1)
+            num, den = num * l.numerator, den * l.denominator
+
+    return BreakpointColoring(len(points), gen(), descriptor)
 
 
 def power_2coloring(a: int, b: int) -> BreakpointColoring:
-    """2-coloring by geometric bands of ratio b/a: [q^{2m}, q^{2m+1}) -> 1,
+    """2-coloring by geometric bands of ratio q = b/a: [q^{2m}, q^{2m+1}) -> 1,
     [q^{2m+1}, q^{2m+2}) -> 2 for m >= 1, everything below q^2 -> 1."""
+    a, b = int_value(a), int_value(b)
     if not (0 < a < b):
         raise BadPair(f"need 0 < a < b, got ({a}, {b})")
     q = Fraction(b, a)
-
-    def points(m: int):
-        return [(q ** (2 * m), 1), (q ** (2 * m + 1), 2)]
-
-    return BreakpointColoring(2, 1, _interval_gen(points), f"power2:{a},{b}")
+    return band_coloring(q * q, (1, q), f"power2:{a},{b}")
 
 
 def geometric_3coloring(
@@ -368,8 +369,9 @@ def geometric_3coloring(
 
     Parameter ranges: l in [b^2/a^2, b^3/a^3), x in (l a/b, b^2/a^2),
     y in (x a/b, sqrt(x)); defaults are rational midpoints, with y nudged
-    down until y^2 < x holds exactly.
+    down until y^2 < x holds exactly.  The ranges give 1 < y < x < l.
     """
+    a, b = int_value(a), int_value(b)
     if not (0 < a < b):
         raise BadPair(f"need 0 < a < b, got ({a}, {b})")
     q = Fraction(b, a)
@@ -396,15 +398,8 @@ def geometric_3coloring(
         y = Fraction(y)
     if not (lo < y and y * y < x):
         raise BadParams(f"y must lie in (x*a/b, sqrt(x)), got {y}")
-    if not (1 < y < x < l):
-        raise DomainError(f"geo3 band points must satisfy 1 < y < x < l, got {y}, {x}, {l}")
-
-    def points(m: int):
-        lm = l**m
-        return [(lm, 1), (y * lm, 2), (x * lm, 3)]
-
     desc = f"geo3:{a},{b},l={_frac_str(l)},x={_frac_str(x)},y={_frac_str(y)}"
-    return BreakpointColoring(3, 1, _interval_gen(points), desc)
+    return band_coloring(l, (1, y, x), desc)
 
 
 def triple_2coloring(
@@ -416,6 +411,7 @@ def triple_2coloring(
 ) -> BreakpointColoring:
     """2-coloring for shift triples: bands [l^m, x l^m) -> 1, [x l^m, l^{m+1}) -> 2
     for m >= 1; below l -> 1.  y = max(c/b, b/a), x in (y, c/a), l in (x y, x c/a)."""
+    a, b, c = int_value(a), int_value(b), int_value(c)
     if not (0 < a < b < c):
         raise BadPair(f"need 0 < a < b < c, got ({a}, {b}, {c})")
     y = max(Fraction(c, b), Fraction(b, a))
@@ -432,13 +428,8 @@ def triple_2coloring(
         l = Fraction(l)
     if not (x * y < l < x * ca):
         raise BadParams(f"l must lie in (x*y, x*c/a), got {l}")
-
-    def points(m: int):
-        lm = l**m
-        return [(lm, 1), (x * lm, 2)]
-
     desc = f"triple:{a},{b},{c},x={_frac_str(x)},l={_frac_str(l)}"
-    return BreakpointColoring(2, 1, _interval_gen(points), desc)
+    return band_coloring(l, (1, x), desc)
 
 
 def case2_coloring(P: IntPolynomial, Q: IntPolynomial) -> BreakpointColoring:
@@ -476,7 +467,7 @@ def case2_coloring(P: IntPolynomial, Q: IntPolynomial) -> BreakpointColoring:
             k, size = k + size, 2 * size
 
     desc = f"case2:P={format_poly(P)},Q={format_poly(Q)}"
-    return BreakpointColoring(2, 1, gen(), desc)
+    return BreakpointColoring(2, gen(), desc)
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +491,10 @@ class SeededRandomColoring(Coloring):
     """Deterministic pseudo-random coloring: a 64-bit mix of (seed, n)."""
 
     def __init__(self, seed: int, palette: int):
+        self.seed, palette = int_value(seed), int_value(palette)
         if palette < 2:
             raise BadParams(f"palette must be at least 2, got {palette}")
-        self.seed = int(seed)
-        self.palette = _check_palette(int(palette))
+        self.palette = _check_palette(palette)
         self.descriptor = f"random:seed={self.seed},k={self.palette}"
         self._base = (self.seed * _SM_GAMMA) & _U64
 
@@ -524,7 +515,7 @@ class PeriodicColoring(Coloring):
     """Coloring repeating a finite pattern, position 1 = first entry."""
 
     def __init__(self, pattern: Sequence[int]):
-        pat = [int(p) for p in pattern]
+        pat = [int_value(p) for p in pattern]
         if not pat:
             raise EmptyPattern("periodic pattern is empty")
         if min(pat) < 1:
@@ -552,18 +543,18 @@ class ExplicitColoring(BreakpointColoring):
     """Coloring from an explicit finite stream; positions beyond it get color 1."""
 
     def __init__(self, values: Sequence[int], palette: int | None = None):
-        vals = [int(v) for v in values]
+        vals = [int_value(v) for v in values]
         if not vals:
             raise EmptyPattern("explicit color stream is empty")
         if min(vals) < 1:
             raise BadParams("colors start at 1")
-        palette = _check_palette(int(palette) if palette is not None else max(2, max(vals)))
+        palette = _check_palette(int_value(palette) if palette is not None else max(2, max(vals)))
         if max(vals) > palette:
             raise BadParams("stream color exceeds palette")
         arr = np.array(vals, dtype=np.uint8)
         starts = np.flatnonzero(np.append(True, arr[1:] != arr[:-1]))
         desc = "explicit:" + ("".join(map(str, vals)) if max(vals) <= 9 else "-".join(map(str, vals)))
-        super().__init__(palette, 1, _run_blocks(starts + 1, arr[starts], len(vals) + 1), desc)
+        super().__init__(palette, _run_blocks(starts + 1, arr[starts], len(vals) + 1), desc)
 
     # kept in the class dict: perfbench's span table names this method
     colors_at = BreakpointColoring.colors_at
@@ -613,7 +604,7 @@ def read_runlength(stream: TextIO, descriptor: str = "file@<stream>") -> Breakpo
             raise ParseError(f"run length must be positive, got {length}")
         colors.append(color)
         starts.append(starts[-1] + length)
-    return BreakpointColoring(palette, 1, _run_blocks(starts[:-1], colors, starts[-1]), descriptor)
+    return BreakpointColoring(palette, _run_blocks(starts[:-1], colors, starts[-1]), descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +651,7 @@ def check_admissible(P: IntPolynomial, Q: IntPolynomial, a0: int) -> AdmissibleP
     * slope/width constants: lam0 with psi' > lam0^2 beyond f(a0), eps0, u,
       and the jump bound psi(a0 - f(a0)) - a0 - f(psi(a0)) >= u * f(a0).
     """
+    a0 = int_value(a0)
     prof = psi_profile(P, Q)
     if prof.case is not GrowthCase.CASE_I:
         raise DomainError("recursive coloring requires an expanding growth profile")
@@ -797,7 +789,7 @@ class RecursiveLogColoring(BreakpointColoring):
             a = mpmath.mpf(a0)
             self._push_level(a, a)
         super().__init__(
-            2, 1, self._breakpoints(),
+            2, self._breakpoints(),
             f"recursive:P={format_poly(P)},Q={format_poly(Q)},a0={a0},window={window_n}",
         )
         self._extend(window_n)
@@ -894,5 +886,6 @@ def recursive_log_coloring(
 ) -> RecursiveLogColoring:
     """Build the recursive coloring; find the base level up to A0_SCAN_LIMIT when
     none is given."""
+    window_n = int_value(window_n)
     params = _first_admissible(P, Q, A0_SCAN_LIMIT) if a0 is None else check_admissible(P, Q, a0)
     return RecursiveLogColoring(P, Q, params.a0, window_n, params)

@@ -261,9 +261,8 @@ class _Scorer(_BlockScorer):
 
     first = 8
 
-    def __init__(self, w: ColorWindow, color: int, pvals: list[np.ndarray], layout: _Layout | None = None):
-        lay = layout if layout is not None else _Layout(w, pvals)
-        nwords, front, nbytes = lay.nwords, lay.front, lay.nbytes
+    def __init__(self, w: ColorWindow, color: int, layout: _Layout):
+        nwords, front, nbytes = layout.nwords, layout.front, layout.nbytes
         # one full-size temporary at a time: the color test is packed before
         # the table exists, and the other rows are filled a chunk of columns
         # at a time
@@ -287,7 +286,7 @@ class _Scorer(_BlockScorer):
         self._windows = np.ndarray(
             (8 * nbytes - 8 * nwords + 1, nwords), np.uint64, table, strides=(1, 8)
         )
-        self._starts, self._live, self._block, self.full = lay.starts, lay.live, lay.block, lay.full
+        self._starts, self._live, self._block, self.full = layout.starts, layout.live, layout.block, layout.full
 
     def survivors_with(self, vw: np.ndarray, rows) -> np.ndarray:
         """Survivor words vw after adding each pool candidate in `rows`, one row each.
@@ -387,7 +386,7 @@ def _greedy_one_color(
     w: ColorWindow, r: int, maxC: int, color: int, pool: np.ndarray, pvals: list[np.ndarray], layout: _Layout
 ) -> tuple[list[int], int, tuple[int, ...]] | None:
     """Greedy C growth for one color: (C, survivor count, B)."""
-    scorer: _BlockScorer = _Scorer(w, color, pvals, layout)
+    scorer: _BlockScorer = _Scorer(w, color, layout)
     vw = scorer.full
     # the survivor matrix takes over at this many survivors: a survivor's
     # matrix row costs about as much as 8 words of window scan
@@ -498,7 +497,7 @@ def exhaustive_search(
 
     layout = _Layout(w, pvals)
     for color in range(1, w.palette + 1):
-        scorer = _Scorer(w, color, pvals, layout)
+        scorer = _Scorer(w, color, layout)
         extend(scorer, color, scorer.full, [])
         if best is not None and best[0] == color:
             best = (color, best[1], scorer.lowest(best[2], r))

@@ -12,7 +12,8 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from sumset_ramsey import ParseError, parse_coloring_spec
+from sumset_ramsey import DomainError, ParseError, parse_coloring_spec
+from sumset_ramsey import cli
 from sumset_ramsey.cli import run
 
 SCHEMA = json.loads(
@@ -71,6 +72,39 @@ def test_parse_coloring_spec_errors():
                 "geo3:1,2,l=4,l=4", "file:xx", "periodic:"):
         with pytest.raises(ParseError):
             parse_coloring_spec(bad)
+
+
+# one valid token for each parameter a builder needs
+_SAMPLE_TOKENS = {"a": "1", "b": "2", "c": "3", "a0": "15", "window": "100", "seed": "0",
+                  "k": "2", "P": "n^2", "Q": "n^3", "pattern": "12"}
+
+
+def _integer_params():
+    # (kind, parameter) for every integer and pattern parameter of the grammar
+    cases = []
+    for kind, (positional, named, _, _) in cli._SIGNATURES.items():
+        cases += [(kind, p) for p in (*positional, *named) if cli._TOKENS[p] in (cli._int_tok, cli._pattern_tok)]
+    return cases
+
+
+@pytest.mark.parametrize("kind,param", _integer_params())
+@pytest.mark.parametrize("wrong", [float, lambda v: True], ids=["float", "bool"])
+def test_builders_refuse_non_integer_parameters(kind, param, wrong):
+    # the builder behind each spec kind refuses a float (of the valid value)
+    # or a bool where its grammar reads an integer, inside a pattern too
+    positional, named, required, build = cli._SIGNATURES[kind]
+    values = {
+        p: cli._TOKENS[p](_SAMPLE_TOKENS[p], "", 0)
+        for p in (*positional, *named)
+        if p in positional or p in required or cli._TOKENS[p] is cli._int_tok
+    }
+    build(**values)
+    if cli._TOKENS[param] is cli._pattern_tok:
+        values[param] = [1, wrong(2)]
+    else:
+        values[param] = wrong(values[param])
+    with pytest.raises(DomainError):
+        build(**values)
 
 
 def test_color_json_document():

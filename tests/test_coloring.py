@@ -22,6 +22,7 @@ from sumset_ramsey import (
     check_admissible,
     find_admissible_a0,
     geometric_3coloring,
+    parse_coloring_spec,
     parse_poly,
     power_2coloring,
     read_runlength,
@@ -663,6 +664,81 @@ def _check_segments(c, flat, below, lo, hi):
     assert (starts.tolist(), colors.tolist()) == (want_starts, want_colors)
 
 
+def _named(descriptor):
+    # the named rationals of a band descriptor, e.g. l=25/4
+    return {k: Fraction(v) for k, sep, v in (t.partition("=") for t in descriptor.split(",")) if sep}
+
+
+def _ceil(q):
+    return -(-q.numerator // q.denominator)
+
+
+@st.composite
+def _band_colorings(draw):
+    """A band coloring and its bands as (ratio, points): color i + 1 from
+    points[i] * ratio^m for m >= 1.  Each optional parameter is drawn inside
+    its documented range, given the ones before it, or left at its default."""
+    kind = draw(st.sampled_from(["power2", "geo3", "triple"]))
+    a = draw(st.integers(1, 7 if kind == "triple" else 8))
+    b = draw(st.integers(a + 1, 8 if kind == "triple" else 9))
+    q = Fraction(b, a)
+
+    def inside(lo, hi, closed=False):
+        i = draw(st.none() | st.integers(0 if closed else 1, 16))
+        return None if i is None else lo + (hi - lo) * Fraction(i, 17)
+
+    if kind == "power2":
+        # [q^{2m}, q^{2m+1}) -> 1, [q^{2m+1}, q^{2m+2}) -> 2
+        return power_2coloring(a, b), (q**2, (1, q))
+    if kind == "geo3":
+        # [b^2/a^2, b^3/a^3), (l a/b, b^2/a^2), (x a/b, sqrt(x))
+        l = _named(geometric_3coloring(a, b, l=inside(q**2, q**3, closed=True)).descriptor)["l"]
+        x = _named(geometric_3coloring(a, b, l=l, x=inside(l / q, q**2)).descriptor)["x"]
+        root = Fraction(math.isqrt(x.numerator * x.denominator << 160), x.denominator << 80)
+        y = inside(x / q, root) if root > x / q else None
+        c = geometric_3coloring(a, b, l=l, x=x, y=y)
+        got = _named(c.descriptor)
+        assert (got["l"], got["x"]) == (l, x) and (y is None or got["y"] == y)
+        y = got["y"]
+        assert q**2 <= l < q**3 and l / q < x < q**2 and x / q < y and y * y < x
+        return c, (l, (1, y, x))
+    # x in (max(c/b, b/a), c/a), l in (x y, x c/a) with y = max(c/b, b/a)
+    cc = draw(st.integers(b + 1, 9))
+    y, ca = max(Fraction(cc, b), q), Fraction(cc, a)
+    x = _named(triple_2coloring(a, b, cc, x=inside(y, ca)).descriptor)["x"]
+    l = inside(x * y, x * ca)
+    c = triple_2coloring(a, b, cc, x=x, l=l)
+    got = _named(c.descriptor)
+    assert got["x"] == x and (l is None or got["l"] == l)
+    l = got["l"]
+    assert y < x < ca and x * y < l < x * ca
+    return c, (l, (1, x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_band_colorings())
+def test_band_colorings_match_their_band_formulas_past_int64(drawn):
+    c, (ratio, points) = drawn
+    hi = 10**40
+    flat, m = [], 1
+    while ratio**m <= hi:
+        flat += [(_ceil(p * ratio**m), i + 1) for i, p in enumerate(points)]
+        m += 1
+    _check_segments(c, flat, 1, 1, hi)
+    assert c.palette == len(points)
+    # each breakpoint - 1, itself and + 1, against the last breakpoint at or below
+    bps, cols = _collapse(flat)
+    zs = sorted({z for bp in bps for z in (bp - 1, bp, bp + 1) if 1 <= z <= hi})
+    assert zs[-1] > 2**63
+    want = [cols[i - 1] if i else 1 for i in (bisect_right(bps, z) for z in zs)]
+    fresh = parse_coloring_spec(c.descriptor)
+    assert fresh.descriptor == c.descriptor
+    assert fresh.colors_at(zs).tolist() == want
+    small = [z for z in zs if z <= _I64_MAX]
+    assert parse_coloring_spec(c.descriptor).colors_at(np.array(small, dtype=np.int64)).tolist() == want[: len(small)]
+    assert [c.color(z) for z in zs] == want
+
+
 def _synthetic(blocks, forms):
     """Breakpoint coloring over the given (breakpoints, colors) blocks, each
     an int64 array (form 0, when it fits), an object array (1) or a list (2),
@@ -677,13 +753,13 @@ def _synthetic(blocks, forms):
         last = max([bp for bps, _ in blocks for bp in bps], default=1)
         for j in itertools.count(1):
             yield [last + 1000 * j], [1 + j % 3]
-    return BreakpointColoring(3, 3, gen(), "synthetic")
+    return BreakpointColoring(3, gen(), "synthetic")
 
 
 def _check_block_protocol(blocks, forms, picks):
     flat = [(bp, col) for bps, cols in blocks for bp, col in zip(bps, cols)]
     zs = sorted({z for bp, _ in flat for z in (bp - 1, bp, bp + 1) if z >= 1} | {1})
-    want = [_ref_color(flat, 3, z) for z in zs]
+    want = [_ref_color(flat, 1, z) for z in zs]
     # one generator step per query: colors asked in ascending order
     step = _synthetic(blocks, forms)
     assert [step.color(z) for z in zs] == want
@@ -695,8 +771,8 @@ def _check_block_protocol(blocks, forms, picks):
     for i, j in picks:
         lo, hi = sorted((zs[i % len(zs)], zs[j % len(zs)]))
         for c in (_synthetic(blocks, forms), step):
-            _check_segments(c, flat, 3, lo, hi)
-            _check_segments(c, flat, 3, -2, hi)
+            _check_segments(c, flat, 1, lo, hi)
+            _check_segments(c, flat, 1, -2, hi)
 
 
 def _blocks_from(base, raw):

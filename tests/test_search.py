@@ -390,7 +390,7 @@ def test_window_scorer_matches_shifted_mask(seed, n, color, shifts, order, pick)
     # a candidate keeps b iff b + P(c) has the color, for each P; shifts are clipped as in the pool
     w = SeededRandomColoring(seed, 2).window(n)
     pvals = [np.clip(np.array(sh, dtype=np.int64), -(n + 1), n + 1) for sh in shifts]
-    scorer = search_module._Scorer(w, color, pvals)
+    scorer = search_module._Scorer(w, color, search_module._Layout(w, pvals))
     cols = w.colors.tolist()
     want = [
         [b for b in range(1, n + 1) if all(1 <= b + int(pv[j]) <= n and cols[b + int(pv[j])] == color for pv in pvals)]
@@ -433,7 +433,7 @@ def test_matrix_scorer_agrees_with_window_scorer(coloring, n, poly_text, cap, da
     color = data.draw(st.integers(1, w.palette), label="color")
     index = st.integers(0, pool.shape[0] - 1)
     prefix = data.draw(st.lists(index, max_size=4, unique=True), label="prefix")
-    scorer = search_module._Scorer(w, color, pvals)
+    scorer = search_module._Scorer(w, color, search_module._Layout(w, pvals))
     vw = scorer.full
     for j in prefix:
         vw = scorer.survivors_with(vw, slice(j, j + 1))[0]
