@@ -64,6 +64,7 @@ from .poly import (
     psi_eval,
     psi_prime,
     psi_profile,
+    rational_value,
     values,
 )
 
@@ -71,6 +72,9 @@ DEFAULT_WINDOW_CAP = 10_000_000
 WINDOW_CAP_ENV = "SUMSET_RAMSEY_NMAX"
 # colors are stored as uint8
 MAX_PALETTE = 255
+# positions per pass of the per-position paths (window, bad_set's per-m walk):
+# a chunk's int64 temporaries take 512 KB and stay in cache
+POSITION_CHUNK = 1 << 16
 
 
 def window_cap() -> int:
@@ -102,7 +106,9 @@ class ColorWindow:
     """Colors of [1, N] as an array plus one bit-vector per palette color.
 
     ``mask(i)`` is a Python int whose bit n (1-indexed) is set exactly when
-    color(n) == i; the k masks partition [1, N].
+    color(n) == i; the k masks partition [1, N].  ``colors[n]`` is the color
+    of n; slot 0 is unused and held at 0.  A uint8 array whose slot 0 is
+    already 0, as ``Coloring.window`` builds it, is kept without a copy.
     """
 
     def __init__(self, colors: np.ndarray, palette: int):
@@ -111,8 +117,9 @@ class ColorWindow:
             raise DomainError("window needs at least one colored position")
         self.n = colors.shape[0] - 1
         self.palette = palette
-        colors = colors.copy()
-        colors[0] = 0
+        if colors[0]:
+            colors = colors.copy()
+            colors[0] = 0
         body = colors[1:]
         if body.min() < 1 or body.max() > palette:
             raise DomainError("window colors must lie in 1..palette")
@@ -166,9 +173,8 @@ class Coloring:
                 f"window {n} exceeds cap {cap}; raise {WINDOW_CAP_ENV} to allow it"
             )
         colors = np.zeros(n + 1, dtype=np.uint8)
-        chunk = 1 << 20
-        for lo in range(1, n + 1, chunk):
-            hi = min(n, lo + chunk - 1)
+        for lo in range(1, n + 1, POSITION_CHUNK):
+            hi = min(n, lo + POSITION_CHUNK - 1)
             colors[lo : hi + 1] = self.colors_at(np.arange(lo, hi + 1, dtype=np.int64))
         return ColorWindow(colors, self.palette)
 
@@ -378,13 +384,13 @@ def geometric_3coloring(
     if l is None:
         l = (q**2 + q**3) / 2
     else:
-        l = Fraction(l)
+        l = rational_value(l)
     if not (q**2 <= l < q**3):
         raise BadParams(f"l must lie in [b^2/a^2, b^3/a^3), got {l}")
     if x is None:
         x = (l / q + q**2) / 2
     else:
-        x = Fraction(x)
+        x = rational_value(x)
     if not (l / q < x < q**2):
         raise BadParams(f"x must lie in (l*a/b, b^2/a^2), got {x}")
     lo = x / q
@@ -395,7 +401,7 @@ def geometric_3coloring(
         while y * y >= x:
             y = (lo + y) / 2
     else:
-        y = Fraction(y)
+        y = rational_value(y)
     if not (lo < y and y * y < x):
         raise BadParams(f"y must lie in (x*a/b, sqrt(x)), got {y}")
     desc = f"geo3:{a},{b},l={_frac_str(l)},x={_frac_str(x)},y={_frac_str(y)}"
@@ -419,13 +425,13 @@ def triple_2coloring(
     if x is None:
         x = (y + ca) / 2
     else:
-        x = Fraction(x)
+        x = rational_value(x)
     if not (y < x < ca):
         raise BadParams(f"x must lie in (max(c/b, b/a), c/a), got {x}")
     if l is None:
         l = (x * y + x * ca) / 2
     else:
-        l = Fraction(l)
+        l = rational_value(l)
     if not (x * y < l < x * ca):
         raise BadParams(f"l must lie in (x*y, x*c/a), got {l}")
     desc = f"triple:{a},{b},{c},x={_frac_str(x)},l={_frac_str(l)}"
@@ -742,6 +748,7 @@ def find_admissible_a0(P: IntPolynomial, Q: IntPolynomial, scan_limit: int) -> i
 
 def _first_admissible(P: IntPolynomial, Q: IntPolynomial, scan_limit: int) -> AdmissibleParams:
     """The certified constants of the smallest admissible a0 <= scan_limit."""
+    scan_limit = int_value(scan_limit)
     prof = psi_profile(P, Q)
     if prof.case is not GrowthCase.CASE_I:
         raise DomainError("recursive coloring requires an expanding growth profile")

@@ -253,6 +253,18 @@ def int_value(x) -> int:
     raise DomainError(f"expected an integer, got {x!r}")
 
 
+def rational_value(x) -> Fraction:
+    """x as a Fraction: a Fraction or any integer but a bool, else DomainError.
+
+    A float is refused, not read as its binary expansion."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(int_value(x))
+    except DomainError:
+        raise DomainError(f"expected an integer or a Fraction, got {x!r}") from None
+
+
 def int_array(xs) -> np.ndarray:
     """The integers xs as an int64 array when every value fits, and as an
     object array of Python ints otherwise.

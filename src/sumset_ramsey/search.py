@@ -34,7 +34,7 @@ from functools import reduce
 from typing import Iterable, Sequence
 
 from ._deps import mpmath, np
-from .coloring import BreakpointColoring, ColorWindow, Coloring
+from .coloring import POSITION_CHUNK, BreakpointColoring, ColorWindow, Coloring
 from .errors import DomainError, EmptySet, NoConfiguration
 from .poly import (
     I64_MAX,
@@ -590,9 +590,8 @@ def bad_set(
         elems = _bad_set_by_runs(coloring, n, polys, color, M)
     else:
         keep_chunks: list[np.ndarray] = []
-        chunk = 1 << 20
-        for lo in range(1, M + 1, chunk):
-            ms = np.arange(lo, min(M, lo + chunk - 1) + 1, dtype=np.int64)
+        for lo in range(1, M + 1, POSITION_CHUNK):
+            ms = np.arange(lo, min(M, lo + POSITION_CHUNK - 1) + 1, dtype=np.int64)
             ok = np.ones(ms.shape[0], dtype=bool)
             for P in polys:
                 ok &= _hits(coloring, n, P, ms, color)

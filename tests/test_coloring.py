@@ -165,6 +165,34 @@ def test_triple_coloring_bad_params():
         triple_2coloring(1, 3, 2, x=None, l=None)
 
 
+@pytest.mark.parametrize("form", [float, np.float64, str, lambda v: True])
+@pytest.mark.parametrize(
+    "make,good",
+    [
+        (lambda v: geometric_3coloring(1, 2, l=v, x=Fraction(3), y=Fraction(8, 5)), Fraction(11, 2)),
+        (lambda v: geometric_3coloring(1, 2, l=Fraction(4), x=v, y=Fraction(8, 5)), Fraction(11, 4)),
+        (lambda v: geometric_3coloring(1, 2, l=Fraction(4), x=Fraction(3), y=v), Fraction(13, 8)),
+        (lambda v: triple_2coloring(1, 2, 3, x=v, l=Fraction(25, 4)), Fraction(5, 2)),
+        (lambda v: triple_2coloring(1, 2, 3, x=Fraction(5, 2), l=v), Fraction(25, 4)),
+    ],
+    ids=["geo3-l", "geo3-x", "geo3-y", "triple-x", "triple-l"],
+)
+def test_band_rationals_refuse_floats_and_bools(make, good, form):
+    # good is in range, so only the type is refused: a float is not read as
+    # its binary expansion, nor a string as Fraction text
+    make(good)
+    with pytest.raises(DomainError) as exc:
+        make(form(good))
+    assert type(exc.value) is DomainError
+
+
+def test_band_rationals_take_ints_and_fractions():
+    assert triple_2coloring(1, 2, 3, x=Fraction(5, 2), l=7).descriptor == "triple:1,2,3,x=5/2,l=7"
+    assert geometric_3coloring(1, 2, l=np.int64(4), x=3, y=Fraction(8, 5)).descriptor == (
+        "geo3:1,2,l=4,x=3,y=8/5"
+    )
+
+
 def test_case2_part1_fixed_and_isqrt_cross_check():
     c = case2_coloring(N2, parse_poly("n^2 + n"))
     assert c.color(4) == 2
@@ -472,6 +500,13 @@ def test_base_level_scan_checks_each_a0_once(monkeypatch):
 def test_find_admissible_a0_exhausted():
     with pytest.raises(NoAdmissibleA0):
         find_admissible_a0(N2, N3, 10)
+
+
+@pytest.mark.parametrize("limit", [20.0, True, "20", Fraction(20)])
+def test_find_admissible_a0_refuses_a_non_integer_limit(limit):
+    with pytest.raises(DomainError) as exc:
+        find_admissible_a0(N2, N3, limit)
+    assert type(exc.value) is DomainError
 
 
 def test_find_admissible_a0_needs_nonlinear_q():
@@ -922,6 +957,40 @@ def test_colors_at_agrees_with_color(every_kind, which, zs, seed, palette):
         vec = _outcome(lambda: c.colors_at(np.array(zs, dtype=np.int64)).tolist())
         scalar = _outcome(lambda: [c.color(z) for z in zs])
         assert vec == scalar
+
+
+C = coloring_module.POSITION_CHUNK
+
+
+@pytest.mark.parametrize("which", range(8))
+def test_window_matches_colors_at_across_chunk_edges(every_kind, which):
+    c = every_kind[which]
+    rng = random.Random(which)
+    for n in (C - 1, C, C + 1, 3 * C + 7):
+        colors = c.window(n).colors
+        assert colors.shape == (n + 1,) and colors[0] == 0
+        assert np.array_equal(colors[1:], c.colors_at(np.arange(1, n + 1, dtype=np.int64)))
+        # chunks are [1, C], [C + 1, 2C], ...: every edge, plus random points
+        edges = {z for k in range(1, n // C + 1) for z in (k * C - 1, k * C, k * C + 1)}
+        picks = sorted({z for z in edges if z <= n} | {1, n} | {rng.randint(1, n) for _ in range(100)})
+        assert [int(colors[z]) for z in picks] == [c.color(z) for z in picks]
+
+
+# measured at N = 4C and 64C: every kind's peak above its output is the same
+# (1.1 to 1.6 MB); it grew by 13.4 to 19.7 MB with chunks of 2^20, and by 2.6
+# to 3.1 MB when the window copied its colors
+WINDOW_PEAK_SLACK = 256 * 1024
+
+
+@pytest.mark.parametrize("which", range(8))
+def test_window_construction_peak_does_not_grow_with_n(every_kind, traced_peak, which):
+    c = every_kind[which]
+    c.window(64 * C)  # breakpoint kinds keep their breakpoints: not counted below
+    over = []
+    for n in (4 * C, 64 * C):
+        w, peak = traced_peak(lambda: c.window(n))
+        over.append(peak - w.colors.nbytes)
+    assert over[1] <= over[0] + WINDOW_PEAK_SLACK, over
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+from bisect import bisect_right
 from itertools import combinations
 
 import mpmath
@@ -33,6 +34,7 @@ from sumset_ramsey import (
     verify_config,
     write_runlength,
 )
+from sumset_ramsey.coloring import POSITION_CHUNK as C
 from sumset_ramsey.errors import EmptySet
 from sumset_ramsey import poly as poly_module
 from sumset_ramsey import search as search_module
@@ -717,6 +719,47 @@ def test_bad_sets_partition_agreements():
         assert not (set(s1.tolist()) & set(s2.tolist()))
         want = {m for m in range(1, M + 1) if c.color(n + m) == c.color(n + 2 * m)}
         assert union == want
+
+
+PER_M_KINDS = pytest.mark.parametrize(
+    "c,color",
+    [(SeededRandomColoring(3, 2), 1), (PeriodicColoring([1, 2, 2, 1, 2, 1, 1]), 2)],
+    ids=["random", "periodic"],
+)
+
+
+@PER_M_KINDS
+@pytest.mark.parametrize(
+    "texts",
+    # 3 + 10^15 m^2 passes 2^63 at m = 97, in the first chunk; 3 + 10^9 m^2
+    # at m = 96039, in the second
+    [("n^2", "n^3 + 2n"), ("1000000000000000n^2",), ("1000000000n^2", "n")],
+    ids=["int64", "wide-in-chunk-1", "wide-in-chunk-2"],
+)
+def test_bad_set_per_m_pass_across_chunk_edges(c, color, texts):
+    polys = tuple(parse_poly(t) for t in texts)
+    n, top = 3, 2 * C + 3
+    want = [m for m in range(1, top + 1) if all(c.color(n + P(m)) == color for P in polys)]
+    assert want
+    for M in (C, C + 1, top):
+        S, rep = bad_set(c, n, polys, color, M)
+        expect = want[: bisect_right(want, M)]
+        assert S.tolist() == expect
+        assert (rep.count, rep.max_element) == (len(expect), expect[-1])
+
+
+# measured at M = 16C above the output: 2.7 MB on random and 3.0 MB on
+# periodic, 2.1 and 2.4 MB of it the kept chunks (a second copy of the output
+# until they are joined); 34.6 and 33.3 MB with chunks of 2^20
+BAD_SET_PEAK_BOUND = 4 * 2**20
+
+
+@PER_M_KINDS
+def test_bad_set_per_m_peak_is_bounded(c, color, traced_peak):
+    polys = (parse_poly("n^2"), parse_poly("n^3 + 2n"))
+    (S, _), peak = traced_peak(lambda: bad_set(c, 3, polys, color, 16 * C))
+    assert S.shape[0] > 0
+    assert peak - S.nbytes <= BAD_SET_PEAK_BOUND, peak - S.nbytes
 
 
 BREAKPOINT_POLYS = ("n", "2n", "3n", "n^2 - 3n", "n^3 - n", "n^3 - 5n^2")
