@@ -12,7 +12,8 @@ Three families are built in:
   (built from a base level a0 and the iterates a_{n+1} = psi(a_n)).
 
 Each of them is a ``BreakpointColoring``: its color is constant between
-consecutive integer breakpoints, which a generator yields in order.  So are
+consecutive integer breakpoints, which a generator yields in order, or, for
+the band-offset colorings, closed forms give for any value range.  So are
 explicit streams and run-length files, whose generator stops after their last
 run.  The periodic and seeded random kinds color position by position.
 
@@ -54,6 +55,7 @@ from .poly import (
     I64_MAX,
     IntPolynomial,
     a_star,
+    affine_ladder,
     band_offset,
     BandPart,
     first_at_least,
@@ -224,7 +226,9 @@ class BreakpointColoring(Coloring):
     leaves its last color for good.
 
     The breakpoints are stored once: an int64 array up to 2^63 - 1, then a
-    list of the Python ints past it.
+    list of the Python ints past it.  ``color``, ``colors_at`` and
+    ``segments`` read them through ``_segments``, the runs of one value
+    range; a subclass that computes those in closed form stores none.
     """
 
     def __init__(self, palette: int, gen: Iterator[Block], descriptor: str):
@@ -238,6 +242,12 @@ class BreakpointColoring(Coloring):
         self._tail: list[int] = []
         # the largest breakpoint taken, math.inf once the generator stops
         self._last: int | float | None = None
+
+    def _over_cap(self, cap: int) -> DomainError:
+        return DomainError(
+            f"{self.descriptor} needs more than {cap} breakpoints; "
+            f"raise {WINDOW_CAP_ENV} to allow it"
+        )
 
     def _extend(self, z: int) -> None:
         """Take blocks from the generator until a breakpoint passes z; more
@@ -275,10 +285,7 @@ class BreakpointColoring(Coloring):
             self._table = np.concatenate((self._table, cols))
         self._last = last
         if held > cap:
-            raise DomainError(
-                f"{self.descriptor} needs more than {cap} breakpoints; "
-                f"raise {WINDOW_CAP_ENV} to allow it"
-            )
+            raise self._over_cap(cap)
 
     def _rank(self, z: int) -> int:
         """Number of breakpoints <= z."""
@@ -286,23 +293,40 @@ class BreakpointColoring(Coloring):
             return int(np.searchsorted(self._bp64, z, side="right"))
         return self._bp64.shape[0] + bisect_right(self._tail, z)
 
+    def _segments(self, a: int, hi: int, most: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+        """``segments(a, hi)`` for 1 <= a <= hi: a, then each breakpoint in
+        (a, hi], with the color from each on.
+
+        A kind that can color positions without their breakpoints returns
+        None when more than `most` breakpoints lie in the range, and
+        colors_at then asks its ``_invert``; stored breakpoints are always
+        returned.
+        """
+        self._extend(hi)
+        i = self._rank(a)
+        j = i if hi == a else self._rank(hi)
+        if hi <= I64_MAX:
+            starts = np.concatenate((np.array([a], dtype=np.int64), self._bp64[i:j]))
+        else:
+            n64 = self._bp64.shape[0]
+            wide = self._tail[max(i - n64, 0) : max(j - n64, 0)]
+            starts = np.array([a] + self._bp64[i:j].tolist() + wide, dtype=object)
+        return starts, self._table[i : j + 1]
+
     def color(self, n: int) -> int:
         n = _position(n)
-        self._extend(n)
-        return int(self._table[self._rank(n)])
+        return int(self._segments(n, n)[1][0])
 
     def colors_at(self, zs) -> np.ndarray:
         zs = _positions(zs)
-        if zs.size:
-            self._extend(int(zs.max()))
-        if zs.dtype == np.int64:
-            # every int64 z lies below the breakpoints of the tail
-            return self._table[np.searchsorted(self._bp64, zs, side="right")]
-        # a wide z ranks past every int64 breakpoint, then within the tail
-        wide = zs > I64_MAX
-        ranks = np.searchsorted(self._bp64, np.where(wide, I64_MAX, zs).astype(np.int64), side="right")
-        ranks[wide] += [bisect_right(self._tail, z) for z in zs[wide].tolist()]
-        return self._table[ranks]
+        if not zs.size:
+            return np.zeros(0, dtype=np.uint8)
+        runs = self._segments(int(zs.min()), int(zs.max()), zs.shape[0])
+        if runs is None:
+            return self._invert(zs)
+        # starts and zs are both int64, or both hold Python ints past it
+        starts, colors = runs
+        return colors[np.searchsorted(starts[1:], zs, side="right")]
 
     def segments(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Color runs of the values lo..hi as (starts, colors), starts[0] == lo.
@@ -313,20 +337,13 @@ class BreakpointColoring(Coloring):
         """
         if lo > hi:
             raise DomainError(f"empty value range [{lo}, {hi}]")
-        starts = [lo] if lo < 1 else []
-        colors = np.zeros(len(starts), dtype=np.uint8)
-        i = j = 0
-        if hi >= 1:
-            a = max(lo, 1)
-            self._extend(hi)
-            i, j = self._rank(a), self._rank(hi)
-            starts.append(a)
-            colors = np.concatenate((colors, self._table[i : j + 1]))
-        if -I64_MAX <= lo and hi <= I64_MAX:
-            return np.concatenate((np.array(starts, dtype=np.int64), self._bp64[i:j])), colors
-        n64 = self._bp64.shape[0]
-        cuts = self._bp64[i:j].tolist() + self._tail[max(i - n64, 0) : max(j - n64, 0)]
-        return np.array(starts + cuts, dtype=object), colors
+        if lo >= 1:
+            return self._segments(lo, hi)
+        head = np.array([lo], dtype=np.int64 if lo >= -I64_MAX else object)
+        if hi < 1:
+            return head, np.zeros(1, dtype=np.uint8)
+        starts, colors = self._segments(1, hi)
+        return np.concatenate((head, starts)), np.concatenate((np.zeros(1, dtype=np.uint8), colors))
 
     def runs(self, n: int) -> Iterator[tuple[int, int]]:
         """Run-length pairs (color, length) covering [1, n], from the breakpoints."""
@@ -438,42 +455,107 @@ def triple_2coloring(
     return band_coloring(l, (1, x), desc)
 
 
-def case2_coloring(P: IntPolynomial, Q: IntPolynomial) -> BreakpointColoring:
+class Case2Coloring(BreakpointColoring):
     """2-coloring adapted to an equal-degree, equal-lead pair via its band offset.
 
-    PartI colors [P(n0+k+l-1), Q(n0+k)) with 2 and the rest with 1; PartII blocks
-    [Q(N0+kl), Q(N0+(k+1)l)) and PartIII blocks [P(N0+k(l-1)), P(N0+(k+1)(l-1)))
-    alternate 1, 2 starting at color 1 (k = 0).  Everything below starts at 1.
-    The breakpoints come in blocks of consecutive k, evaluated by ``values``.
+    ``band_offset`` proves that P and Q increase from n0 on and that
+    P(n+l-1) <= Q(n) < P(n+l) there, so every breakpoint is a value of a
+    polynomial ladder in k >= 0:
+
+    * PartI: L(k) = P(n0+l-1+k) starts color 2 and U(k) = Q(n0+k) color 1,
+      with L(k) <= U(k) < L(k+1); where L(k) = U(k) the pair collapses to 1;
+    * PartII: R(k) = Q(n0+kl), and PartIII: R(k) = P(n0+k(l-1)); R(k) starts
+      color 1 for even k and 2 for odd k.
+
+    Everything below the first breakpoint has color 1.  No breakpoint is
+    stored: ``first_at_least`` finds the k-range of a value range, and one
+    ``values`` call per ladder evaluates exactly that range.
     """
-    off = band_offset(P, Q)
-    n0, l = off.n0, off.l
 
-    def block(k: int, size: int) -> Block:
-        ks = np.arange(k, k + size, dtype=np.int64)
-        # every argument is at most n0 + (k + size) * l: Python ints once that
-        # nears 2^63, since n0 itself may lie past it
-        xs = ks if n0 + (k + size) * l < 1 << 62 else ks.astype(object)
+    def __init__(self, P: IntPolynomial, Q: IntPolynomial):
+        off = band_offset(P, Q)
+        n0, l = off.n0, off.l
+        self.palette = 2
+        self.descriptor = f"case2:P={format_poly(P)},Q={format_poly(Q)}"
+        # (ladder, constant) pairs: L and U for PartI, R otherwise
         if off.part is BandPart.PART_I:
-            lower, upper = values(P, n0 + xs + (l - 1)), values(Q, n0 + xs)
-            bps = np.empty(2 * size, dtype=np.result_type(lower, upper))
-            bps[0::2], bps[1::2] = lower, upper
-            return bps, np.tile(np.array([2, 1], dtype=np.uint8), size)
-        if off.part is BandPart.PART_II:
-            bps = values(Q, n0 + xs * l)
+            self._ladders = (affine_ladder(P, n0 + l - 1, 1), affine_ladder(Q, n0, 1))
+        elif off.part is BandPart.PART_II:
+            self._ladders = (affine_ladder(Q, n0, l),)
         else:
-            bps = values(P, n0 + xs * (l - 1))
-        return bps, (1 + ks % 2).astype(np.uint8)
+            self._ladders = (affine_ladder(P, n0, l - 1),)
 
-    def gen() -> Iterator[Block]:
-        # blocks of consecutive k, doubling from 64
-        k, size = 0, 64
-        while True:
-            yield block(k, size)
-            k, size = k + size, 2 * size
+    def _segments(self, a: int, hi: int, most: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+        (R, c), *upper = self._ladders
+        # ladder values at or below a and hi: the least k with c + R(k) > z
+        ka, kh = first_at_least(R, c - 1, [a, hi], 0).tolist()
+        if upper:
+            # U(k) <= L(k + 1): U's count at z is L's or one less, and the
+            # last breakpoint at or below a is L's (color 2) when it is less
+            U, cu = upper[0]
+            ua = ka - (ka > 0 and cu + U(ka - 1) > a)
+            uh = kh - (kh > 0 and cu + U(kh - 1) > hi)
+            count, below = kh - ka + uh - ua, 2 if ka > ua else 1
+        else:
+            count, below = kh - ka, (1 + (ka - 1) % 2 if ka else 1)
+        cap = window_cap()
+        if most is not None and count > min(most, cap):
+            return None
+        if count > cap:
+            raise self._over_cap(cap)
+        dtype = np.int64 if hi <= I64_MAX else object
+        if not count:
+            return np.array([a], dtype=dtype), np.array([below], dtype=np.uint8)
+        if upper:
+            # a slot, then L(k), U(k) for k in [ua, kh); a takes the slot
+            # before the first breakpoint past it (L(ua) when that is at or
+            # below a), and the runs end at U(kh - 1) unless it is past hi
+            ks = _k_range(ua, kh)
+            lower, upper_v = values(R, ks, c), values(U, ks, cu)
+            starts = np.empty(2 * ks.shape[0] + 1, dtype=np.result_type(lower, upper_v))
+            starts[1::2], starts[2::2] = lower, upper_v
+            colors = np.tile(np.array([1, 2], dtype=np.uint8), ks.shape[0] + 1)[:-1]
+            first, stop = ka - ua, 2 * (kh - ua) - (kh - uh) + 1
+            starts[first], colors[first] = a, below
+            starts, colors = starts[first:stop], colors[first:stop]
+            same = lower == upper_v
+            if same.any():
+                # an L(k) equal to U(k) gives way to it
+                keep = np.ones(2 * ks.shape[0] + 1, dtype=bool)
+                keep[1::2] = ~same
+                starts, colors = starts[keep[first:stop]], colors[keep[first:stop]]
+        else:
+            vals = values(R, _k_range(ka, kh), c)
+            starts = np.empty(count + 1, dtype=vals.dtype)
+            starts[0], starts[1:] = a, vals
+            # the color of R(k) is 1 for even k: slot i holds R(ka - 1 + i)'s
+            colors = np.tile(np.array([2, 1] if ka % 2 == 0 else [1, 2], dtype=np.uint8), count // 2 + 1)[: count + 1]
+            colors[0] = below
+        return starts.astype(dtype, copy=False), colors
 
-    desc = f"case2:P={format_poly(P)},Q={format_poly(Q)}"
-    return BreakpointColoring(2, gen(), desc)
+    def _invert(self, zs: np.ndarray) -> np.ndarray:
+        """colors_at for positions too few for their breakpoints: each z is
+        inverted on the ladders."""
+        (R, c), *upper = self._ladders
+        k = first_at_least(R, c - 1, zs, 0)
+        if not upper:
+            return np.where(k == 0, 1, 1 + (k - 1) % 2).astype(np.uint8)
+        # the last breakpoint at or below z is L(k - 1), of color 2, unless
+        # U(k - 1) is too
+        U, cu = upper[0]
+        return np.where((k > 0) & (values(U, np.maximum(k - 1, 0), cu) > zs), 2, 1).astype(np.uint8)
+
+
+def _k_range(k0: int, k1: int) -> np.ndarray:
+    """The ladder indices k0 .. k1 - 1: int64, or Python ints past it."""
+    if k1 <= I64_MAX:
+        return np.arange(k0, k1, dtype=np.int64)
+    return np.arange(k1 - k0, dtype=np.int64).astype(object) + k0
+
+
+def case2_coloring(P: IntPolynomial, Q: IntPolynomial) -> Case2Coloring:
+    """The equal-degree, equal-lead pair's band coloring; see ``Case2Coloring``."""
+    return Case2Coloring(P, Q)
 
 
 # ---------------------------------------------------------------------------

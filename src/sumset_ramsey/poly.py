@@ -6,7 +6,9 @@ answers the exact questions the constructions ask of an integer polynomial:
 ``values`` gives n + P(x) over an integer array, ``first_at_least`` the least
 m with n + P(m) >= t for many t at once (a search over levels of probes,
 shared by all t at the first level, whose positions never wrap), and
-``increasing_from`` the m from which P increases.  One rule,
+``increasing_from`` the m from which P increases, and ``affine_ladder`` the
+polynomial k -> P(n0 + step k) in the (zero-constant polynomial, n) form
+the other two take.  One rule,
 ``_fits_int64``, decides when int64 arithmetic is exact; past it the values
 are Python ints in object arrays.  Integers handed in from outside take one
 rule too, ``int_array``: int64 when every value fits, Python ints in an
@@ -411,6 +413,20 @@ def increasing_from(P: IntPolynomial) -> int:
     return _positive_from(_sub(_shift(P.coeffs, 1), P.coeffs), False)
 
 
+def affine_ladder(P: IntPolynomial, n0: int, step: int) -> tuple[IntPolynomial, int]:
+    """k -> P(n0 + step k) as (R, c) with c + R(k) equal to it for every k.
+
+    R has zero constant term, so ``values(R, ks, c)`` evaluates the ladder
+    and ``first_at_least(R, c, ts, 0)`` inverts it where it increases.  step
+    is at least 1, so R's lead, P's times step^deg, is positive.
+    """
+    n0, step = int_value(n0), int_value(step)
+    if step < 1:
+        raise DomainError(f"ladder step must be at least 1, got {step}")
+    cs = _shift(P.coeffs, n0)
+    return IntPolynomial([0] + [c * step**k for k, c in enumerate(cs) if k]), cs[0]
+
+
 # ---------------------------------------------------------------------------
 # growth profile and psi evaluation
 # ---------------------------------------------------------------------------
@@ -659,6 +675,7 @@ class BandOffset:
     k2: int | None = None
 
 
+@lru_cache(maxsize=256)
 def band_offset(P: IntPolynomial, Q: IntPolynomial) -> BandOffset:
     """Minimal l with P(n+l-1) <= Q(n) < P(n+l) for all large n, plus the part split.
 

@@ -520,18 +520,28 @@ def _hits(coloring: Coloring, n: int, P: IntPolynomial, ms: np.ndarray, color: i
 
 
 def _good_runs(
-    coloring: BreakpointColoring, n: int, P: IntPolynomial, color: int, M: int
+    coloring: BreakpointColoring, n: int, P: IntPolynomial, color: int, M: int,
+    segments: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Runs of m in [1, M] on which n + P(m) is, or is not, colored `color`.
 
     Returns (starts, good) with starts[0] == 1.  Each m below the point m0
     from which P increases up to M is a run of its own.  From m0 on, a run
     starts where n + P(m) first reaches a cut of the coloring (a breakpoint,
-    or the value 1 below which positions have no color).
+    or the value 1 below which positions have no color).  ``segments`` is
+    the coloring's (starts, colors) over a value range holding
+    n + P(m0) .. n + P(M).
     """
     m0 = min(increasing_from(P), M)
-    cuts, cols = coloring.segments(n + P(m0), n + P(M))
-    ms = np.concatenate(([m0], first_at_least(P, n, cuts[1:], m0, M)))
+    lo, hi = n + P(m0), n + P(M)
+    starts, colors = segments
+    i = int(np.searchsorted(starts, lo, side="right")) - 1
+    j = int(np.searchsorted(starts, hi, side="right"))
+    cuts, cols = starts[i + 1 : j], colors[i:j]
+    # the shared range may pass int64 where this P's values do not
+    if cuts.dtype != np.int64 and hi <= I64_MAX:
+        cuts = cuts.astype(np.int64)
+    ms = np.concatenate(([m0], first_at_least(P, n, cuts, m0, M)))
     # cuts that land on one m: the color of the last one holds there
     last = np.append(ms[1:] != ms[:-1], True)
     good = (cols[last] == color) & (cols[last] != 0)
@@ -544,8 +554,14 @@ def _good_runs(
 def _bad_set_by_runs(
     coloring: BreakpointColoring, n: int, polys: Sequence[IntPolynomial], color: int, M: int
 ) -> np.ndarray:
-    """bad_set's elements from the color runs of every P, without a per-m pass."""
-    runs = [_good_runs(coloring, n, P, color, M) for P in polys]
+    """bad_set's elements from the color runs of every P, without a per-m pass.
+
+    One ``segments`` call covers the values of every P, so the coloring's
+    breakpoints are read once.
+    """
+    ends = [(n + P(min(increasing_from(P), M)), n + P(M)) for P in polys]
+    segments = coloring.segments(min(lo for lo, _ in ends), max(hi for _, hi in ends))
+    runs = [_good_runs(coloring, n, P, color, M, segments) for P in polys]
     # sort and drop repeats; np.unique would import numpy.ma, 30 ms per process
     starts = np.sort(np.concatenate([np.ones(1, dtype=np.int64)] + [s for s, _ in runs]))
     starts = starts[np.append(True, starts[1:] != starts[:-1])]

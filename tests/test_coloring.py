@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -864,7 +865,7 @@ def test_block_protocol_rejects_a_backward_step(blocks, asks):
 
 
 def _case2_scalar(P, Q):
-    # the per-k generators the block generator replaced: one Horner each
+    # the breakpoints one k at a time, each by one scalar Horner
     off = band_offset(P, Q)
     n0, l = off.n0, off.l
     if off.part is BandPart.PART_I:
@@ -901,7 +902,8 @@ _CASE2_BLOCK_PAIRS = (
 
 @settings(max_examples=120, deadline=None)
 @given(which=st.integers(0, len(_CASE2_BLOCK_PAIRS) - 1), count=st.integers(1, 2200), first=st.integers(0, 2199))
-# the block boundaries of k = 64, 192, 448 and 960, and the int64 edge
+# k near 64, 192, 448 and 960, where block generators once changed blocks,
+# and the int64 edge
 @example(which=5, count=2000, first=1100)
 @example(which=6, count=1000, first=500)
 @example(which=7, count=1000, first=63)
@@ -923,6 +925,119 @@ def test_case2_blocks_match_scalar_generators(which, count, first):
     _check_segments(c, flat, 1, 1, hi)
     _check_segments(c, flat, 1, mid - 1, hi)
     _check_segments(case2_coloring(P, Q), flat, 1, mid, hi)
+
+
+def _first_above(f, z):
+    # least k >= 0 with f(k) > z, f increasing: doubling, then bisection
+    hi = 1
+    while f(hi) <= z:
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if f(mid) > z else (mid + 1, hi)
+    return lo
+
+
+def _case2_ladders(P, Q):
+    # the breakpoint ladders in k >= 0 as scalar functions: L, U for PartI
+    # (colors 2, 1), R for the other parts (colors 1, 2, 1, ...)
+    off = band_offset(P, Q)
+    n0, l = off.n0, off.l
+    if off.part is BandPart.PART_I:
+        return [lambda k: P(n0 + l - 1 + k), lambda k: Q(n0 + k)]
+    if off.part is BandPart.PART_II:
+        return [lambda k: Q(n0 + l * k)]
+    return [lambda k: P(n0 + (l - 1) * k)]
+
+
+def _case2_ladder_color(ladders, z):
+    # the color of the last breakpoint at or below z, from ladder counts
+    counts = [_first_above(f, z) for f in ladders]
+    if len(counts) == 2:
+        return 2 if counts[0] > counts[1] else 1
+    return 1 if counts[0] == 0 else 1 + (counts[0] - 1) % 2
+
+
+def _case2_ladder_flat(ladders, lo, hi):
+    # (breakpoint, color) from the first ladder's last value at or below lo
+    # to its first one past hi
+    f = ladders[0]
+    ks = range(max(_first_above(f, lo) - 1, 0), _first_above(f, hi) + 1)
+    if len(ladders) == 2:
+        return [e for k in ks for e in ((f(k), 2), (ladders[1](k), 1))]
+    return [(f(k), 1 + k % 2) for k in ks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.integers(0, len(_CASE2_BLOCK_PAIRS) - 1),
+    k=st.one_of(st.integers(0, 40), st.integers(0, 10**15)),
+    ladder=st.integers(0, 1),
+    offset=st.integers(-1, 1),
+    span=st.integers(0, 3),
+)
+@example(which=1, k=0, ladder=0, offset=0, span=2)  # L(0) = U(0) = 36
+@example(which=8, k=10**15, ladder=1, offset=1, span=3)
+def test_case2_matches_scalar_ladders(which, k, ladder, offset, span):
+    # at L(k), U(k) or R(k) +- 1, far past any stored breakpoint: color,
+    # colors_at (inverting each position, and reading a range's breakpoints)
+    # and segments against ladders evaluated one Python int at a time
+    Pt, Qt, _ = _CASE2_BLOCK_PAIRS[which]
+    P, Q = parse_poly(Pt), parse_poly(Qt)
+    ladders = _case2_ladders(P, Q)
+    f = ladders[ladder % len(ladders)]
+    z = max(1, f(k) + offset)
+    hi = f(k + span) + 1
+    c = case2_coloring(P, Q)
+    assert c.color(z) == _case2_ladder_color(ladders, z)
+    zs = sorted({max(1, z - 1), z, z + 1, hi})
+    want = [_case2_ladder_color(ladders, v) for v in zs]
+    # [1, hi] holds about k breakpoints, more than the positions
+    assert c.colors_at([1] + zs).tolist() == [1] + want
+    # (z - 1, hi] holds at most 2 span + 4, fewer than the positions
+    assert c.colors_at(zs * 4).tolist() == want * 4
+    _check_segments(c, _case2_ladder_flat(ladders, z, hi), 1, z, hi)
+
+
+def test_case2_answers_past_the_cap(monkeypatch):
+    # no call materializes more than the cap, and a color or a few positions
+    # need no breakpoint at all: color 2 iff r^2 <= z < r^2 + r, r = isqrt(z)
+    monkeypatch.setenv("SUMSET_RAMSEY_NMAX", "1000")
+    c = case2_coloring(N2, parse_poly("n^2 + n"))
+    zs = [5, 10**30 - 1, 10**30, 10**30 + 10**15 - 1, 10**30 + 10**15]
+    want = [2 if z < math.isqrt(z) ** 2 + math.isqrt(z) else 1 for z in zs]
+    assert want == [2, 1, 2, 2, 1]
+    assert [c.color(z) for z in zs] == want
+    assert c.colors_at(zs).tolist() == want
+    assert c.colors_at([5, 10**30]).tolist() == [2, 2]
+    with pytest.raises(DomainError, match="more than 1000 breakpoints.*SUMSET_RAMSEY_NMAX"):
+        c.segments(1, 10**8)
+
+
+# measured 1.0 to 3.1 KB after either M on each part; stored, the
+# breakpoints took 150 to 300 KB at M = 10^4 and 1.2 to 2.4 MB at M = 10^5
+CASE2_HELD_BYTES = 64 * 1024
+
+
+@pytest.mark.parametrize("which", [0, 2, 4], ids=["PartI", "PartII", "PartIII"])
+def test_case2_holds_no_breakpoints(which):
+    # what a case2 object keeps after bad_set does not grow with M
+    Pt, Qt, _ = _CASE2_BLOCK_PAIRS[which]
+    P, Q = parse_poly(Pt), parse_poly(Qt)
+    # band_offset's memo and numpy's first calls are not counted below
+    bad_set(case2_coloring(P, Q), 3, (P, Q), 1, 100)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        c = case2_coloring(P, Q)
+        held = []
+        for M in (10**4, 10**5):
+            bad_set(c, 3, (P, Q), 1, M)
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(held) <= CASE2_HELD_BYTES, held
 
 
 @pytest.fixture(scope="module")
@@ -1031,14 +1146,14 @@ def test_runlength_non_integer_field(text):
 
 @pytest.fixture(scope="module")
 def wide_kinds():
-    # (coloring, largest position drawn for it); case2's breakpoints grow like
-    # n^2, so there color() itself reaches only about 10^12 in test time, and
-    # the geometric and recursive kinds take the same colors_at past 2^63
+    # (coloring, largest position drawn for it, None for no limit); the
+    # geometric and recursive kinds take the same colors_at past 2^63, and
+    # case2 inverts its ladders there
     return [
         (power_2coloring(1, 2), None),
         (geometric_3coloring(1, 2), None),
         (triple_2coloring(1, 2, 3), None),
-        (case2_coloring(N2, parse_poly("n^2 + n")), 10**12),
+        (case2_coloring(N2, parse_poly("n^2 + n")), None),
         (recursive_log_coloring(N2, N3, a0=15, window_n=10**4), None),
         (recursive_log_coloring(parse_poly("2n^2"), parse_poly("3n^3 + n"), a0=14, window_n=10**4), None),
         (SeededRandomColoring(7, 3), None),
@@ -1087,8 +1202,7 @@ def test_colors_at_agrees_with_color_past_int64(wide_kinds, which, zs, form, bad
 @pytest.mark.parametrize("which", range(9))
 def test_wide_positions_never_reach_color(wide_kinds, monkeypatch, which, form):
     # every kind answers positions past 2^63 in its own array kernel: with
-    # color() made to raise, colors_at still gives color()'s answers (case2
-    # keeps to the positions its breakpoints reach in test time)
+    # color() made to raise, colors_at still gives color()'s answers
     c, reach = wide_kinds[which]
     zs = [1, 2, 7, 2**40 + 1, 2**62, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1]
     if form != "uint64":

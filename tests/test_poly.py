@@ -313,7 +313,9 @@ def test_band_offset_fixed():
 
 def test_band_offset_check_raises(monkeypatch):
     # with N0 forced down to 1, P(1) = 1 breaks "P(n) > 1": the check loop
-    # must raise a package error, which python -O keeps (an assert would not)
+    # must raise a package error, which python -O keeps (an assert would not);
+    # band_offset is memoized, so an earlier answer for the pair is dropped
+    band_offset.cache_clear()
     monkeypatch.setattr(poly, "_positive_from", lambda cs, allow_zero: 1)
     with pytest.raises(DomainError, match="band inequality fails at n = 1"):
         band_offset(parse_poly("n^2"), parse_poly("n^2 + n"))
@@ -667,6 +669,31 @@ def test_values_matches_python_ints(text, n, over, sign, offsets):
     got = poly.values(P, np.array(xs, dtype=np.int64), n)
     assert (got.dtype == np.int64) == poly._fits_int64(P, n, edge) == (not over)
     assert got.tolist() == [n + P(x) for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    P=_SMALL_POLY,
+    n0=st.one_of(st.integers(-1000, 1000), st.integers(2**63 - 50, 2**63 + 50), st.integers(0, 2**80)),
+    step=st.integers(1, 40),
+    ks=st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
+)
+def test_affine_ladder_matches_scalar_p(P, n0, step, ks):
+    # c + R(k) = P(n0 + step k) exactly, by scalar Horner and in the array layer
+    R, c = poly.affine_ladder(P, n0, step)
+    assert R.coeffs[0] == 0 and R.degree == P.degree and R.lead == P.lead * step**P.degree
+    want = [P(n0 + step * k) for k in ks]
+    assert [c + R(k) for k in ks] == want
+    assert poly.values(R, np.array(ks, dtype=np.int64), c).tolist() == want
+    if n0 >= poly.increasing_from(P):
+        # the ladder increases, so first_at_least counts its values at or below each
+        assert poly.first_at_least(R, c - 1, want, 0).tolist() == [k + 1 for k in ks]
+
+
+@pytest.mark.parametrize("step", [0, -1, 1.0, True])
+def test_affine_ladder_refuses_a_step_below_1(step):
+    with pytest.raises(DomainError):
+        poly.affine_ladder(parse_poly("n^2"), 3, step)
 
 
 @settings(max_examples=150, deadline=None)
