@@ -46,6 +46,7 @@ from .errors import (
     ParseError,
     PolynomialError,
     SumsetRamseyError,
+    WindowOverrun,
 )
 from .poly import IntPolynomial, parse_poly
 from .search import (
@@ -442,15 +443,14 @@ def _cmd_dynamics(args, out: IO[str], err: IO[str]) -> int:
     if args.op == "return":
         if args.coloring is None or args.N is None:
             raise ParseError("return op needs --coloring and --N", "", None)
-        word = word_from_coloring(parse_coloring_spec(args.coloring, args.seed), args.N)
-        M = args.M if args.M is not None else (word.n - args.h) // args.b
-        rs = return_set(word, args.a, args.b, args.h, M)
+        c = parse_coloring_spec(args.coloring, args.seed)
+        M = args.M if args.M is not None else (args.N - args.h) // args.b
+        if args.h + args.b * M > args.N:
+            raise WindowOverrun(f"--N {args.N} does not cover h + b*M = {args.h + args.b * M}")
+        rs = return_set(c, args.a, args.b, args.h, M)
         doc = rs.to_json()
         if args.window_sizes:
-            doc["density"] = [
-                [wsz, val]
-                for wsz, val in density_profile(rs.elements, M, args.window_sizes)
-            ]
+            doc["density"] = [list(row) for row in density_profile(rs.elements, M, args.window_sizes)]
         record = [(k, doc[k]) for k in ("a", "b", "h", "M", "count", "max_gap")]
         _emit(args.out, out, doc, record=record, table=(("n",), [(n,) for n in rs.elements]))
         return 0

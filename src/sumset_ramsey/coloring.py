@@ -21,8 +21,8 @@ Positions of any size are answered exactly.  ``colors_at`` reads them
 through ``poly.int_array``, the one rule for integers handed to the array
 layer (int64 when every value fits, Python ints in an object array
 otherwise, as ``poly._fits_int64`` rules for polynomial values), and each
-kind answers both dtypes in its own array kernel.  ``color`` is the scalar
-oracle on a path of its own.
+kind answers both dtypes in its own array kernel.  ``color`` is a scalar
+path of its own on the periodic and random kinds only.
 
 All membership decisions at integers are exact: rational boundaries are
 ceilings by integer floor division of numerator and denominator, polynomial
@@ -90,6 +90,13 @@ def window_cap() -> int:
         raise DomainError(f"{WINDOW_CAP_ENV} must be an integer, got {raw!r}")
 
 
+def check_cap(n: int, what: str) -> None:
+    """Refuse reading positions up to n past ``window_cap()``."""
+    cap = window_cap()
+    if n > cap:
+        raise DomainError(f"{what} {n} exceeds cap {cap}; raise {WINDOW_CAP_ENV} to allow it")
+
+
 def _check_palette(palette: int) -> int:
     if palette > MAX_PALETTE:
         raise BadParams(f"palette {palette} exceeds {MAX_PALETTE}")
@@ -153,7 +160,7 @@ class Coloring:
     descriptor: str
 
     def color(self, n: int) -> int:
-        """Color of position n: the scalar oracle, computed on its own path."""
+        """Color of position n; a breakpoint kind reads the runs ``colors_at`` reads."""
         raise NotImplementedError
 
     def colors_at(self, zs) -> np.ndarray:
@@ -167,13 +174,9 @@ class Coloring:
         raise NotImplementedError
 
     def window(self, n: int) -> ColorWindow:
-        cap = window_cap()
         if n < 1:
             raise WindowTooSmall(f"window must cover at least [1,1], got {n}")
-        if n > cap:
-            raise DomainError(
-                f"window {n} exceeds cap {cap}; raise {WINDOW_CAP_ENV} to allow it"
-            )
+        check_cap(n, "window")
         colors = np.zeros(n + 1, dtype=np.uint8)
         for lo in range(1, n + 1, POSITION_CHUNK):
             hi = min(n, lo + POSITION_CHUNK - 1)

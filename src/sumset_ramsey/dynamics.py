@@ -1,10 +1,11 @@
-"""Finite-window shift dynamics: return sets, gap statistics, dichotomy scans.
+"""Shift dynamics: return sets, gap statistics, dichotomy scans.
 
-A coloring restricted to [1, N] is read through its ``ColorWindow``. The
-operations here measure how often two arithmetic subsamples of the same window
-agree (return sets), how evenly such agreement times are spread (max_gap,
-density_profile), and whether two windows separate along the paired
-progressions d + a(b-a)k / d + b(b-a)k (dichotomy_detect).
+A return set {n <= M : x(h+an) = x(h+bn)} holds the C-values that put
+{h} + aC and {h} + bC in one color: the union over the colors of
+``search.bad_set`` under the polynomials a·n and b·n.  max_gap and
+density_profile measure how evenly a set is spread in [1, M], and
+dichotomy_detect whether two windows separate along the paired progressions
+d + a(b-a)k / d + b(b-a)k.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._deps import np
-from .coloring import WINDOW_CAP_ENV, ColorWindow, Coloring, window_cap
+from .coloring import ColorWindow, Coloring, check_cap
 from .errors import BadPair, DomainError, WindowOverrun
+from .poly import IntPolynomial, int_array, int_value
+from .search import bad_set
 
 __all__ = [
     "ReturnSet",
@@ -28,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReturnSet:
-    """Agreement times {n <= M : x(h+an) = x(h+bn)} of one window with itself."""
+    """Agreement times {n <= M : x(h+an) = x(h+bn)} of one coloring with itself."""
 
     a: int
     b: int
@@ -52,33 +55,32 @@ def word_from_coloring(c: Coloring, n: int) -> ColorWindow:
     return c.window(n)
 
 
-def return_set(x: ColorWindow, a: int, b: int, h: int, M: int) -> ReturnSet:
-    """Times n <= M at which the a-subsample and b-subsample of x agree.
-
-    Requires h + b*M <= x.n so every queried position exists.
-    """
+def return_set(coloring: Coloring, a: int, b: int, h: int, M: int) -> ReturnSet:
+    """Times n <= M at which positions h + an and h + bn agree; h + b*M is held to the cap."""
+    a, b, h, M = map(int_value, (a, b, h, M))
     if not (0 < a < b):
         raise BadPair(f"need 0 < a < b, got ({a}, {b})")
-    if M < 1:
-        raise DomainError(f"horizon must be positive, got {M}")
     if h < 0:
         raise DomainError(f"shift must be nonnegative, got {h}")
-    if h + b * M > x.n:
-        raise WindowOverrun(
-            f"window of length {x.n} does not cover h + b*M = {h + b * M}"
-        )
-    ns = np.arange(1, M + 1, dtype=np.int64)
-    sym = x.colors
-    hit = sym[h + a * ns] == sym[h + b * ns]
-    elems = tuple(int(v) for v in ns[hit])
-    return ReturnSet(a=a, b=b, h=h, M=M, elements=elems)
+    check_cap(h + b * M, "h + b*M =")
+    polys = (IntPolynomial((0, a)), IntPolynomial((0, b)))
+    # the colors' sets are disjoint, so sorting their union drops nothing
+    parts = [bad_set(coloring, h, polys, color, M)[0] for color in range(1, coloring.palette + 1)]
+    return ReturnSet(a=a, b=b, h=h, M=M, elements=tuple(np.sort(np.concatenate(parts)).tolist()))
+
+
+def _members(S: Iterable[int], M: int) -> np.ndarray:
+    """The distinct members of S in [1, M], sorted, in ``int_array``'s dtype."""
+    s = int_array(S if isinstance(S, np.ndarray) else list(S))
+    s = np.sort(s[(s >= 1) & (s <= M)])
+    return s[np.append(True, s[1:] != s[:-1])] if s.size else s
 
 
 def max_gap(S: Iterable[int], M: int) -> int:
     """Largest spacing of S inside [1, M], with sentinels at 0 and M+1."""
-    pts = sorted({int(s) for s in S})
-    seq = [0] + pts + [M + 1]
-    return max(q - p for p, q in zip(seq, seq[1:]))
+    M = int_value(M)
+    ends = int_array([0, M + 1])
+    return int(np.diff(np.concatenate((ends[:1], _members(S, M), ends[1:]))).max())
 
 
 def dichotomy_detect(y: ColorWindow, z: ColorWindow, a: int, b: int, D: int, K: int) -> int | None:
@@ -86,6 +88,7 @@ def dichotomy_detect(y: ColorWindow, z: ColorWindow, a: int, b: int, D: int, K: 
     its own progression: y(d) = y(d + a(b-a)k) and z(d) = z(d + b(b-a)k) for
     all 1 <= k <= K. Returns None when no such d exists.
     """
+    a, b, D, K = map(int_value, (a, b, D, K))
     if not (0 < a < b):
         raise BadPair(f"need 0 < a < b, got ({a}, {b})")
     if D < 1:
@@ -115,25 +118,22 @@ def dichotomy_detect(y: ColorWindow, z: ColorWindow, a: int, b: int, D: int, K: 
     return int(ds[hits[0]]) if hits.size else None
 
 
-def density_profile(
-    S: Iterable[int], M: int, window_sizes: Sequence[int]
-) -> list[tuple[int, float]]:
-    """Per window size W, the maximum of |S ∩ (t, t+W]| / W over 0 <= t <= M-W."""
-    cap = window_cap()
-    if M > cap:
-        raise DomainError(f"horizon {M} exceeds cap {cap}; raise {WINDOW_CAP_ENV} to allow it")
-    sizes = [int(w) for w in window_sizes]
+def density_profile(S: Iterable[int], M: int, window_sizes: Sequence[int]) -> list[tuple[int, float]]:
+    """Per window size W, the maximum of |S ∩ (t, t+W]| / W over 0 <= t <= M-W.
+
+    A densest window can be taken to end at a member s of S, or to start at 0
+    when s < W; so each W is one ``searchsorted`` over the sorted members.
+    """
+    M = int_value(M)
+    sizes = int_array(list(window_sizes)).tolist()
     for w in sizes:
         if not 1 <= w <= M:
             raise DomainError(f"window size {w} outside [1, {M}]")
-    ind = np.zeros(M + 1, dtype=np.int64)
-    for s in S:
-        s = int(s)
-        if 1 <= s <= M:
-            ind[s] = 1
-    csum = np.cumsum(ind)
+    pts = _members(S, M)
     out = []
     for w in sizes:
-        counts = csum[w:] - csum[: M + 1 - w]
-        out.append((w, float(counts.max()) / w))
+        # a w past the largest member counts the same, and keeps pts - w in int64
+        low = pts - min(w, int(pts[-1])) if pts.size else pts
+        counts = np.arange(1, pts.size + 1) - np.searchsorted(pts, low, side="right")
+        out.append((w, int(counts.max(initial=0)) / w))
     return out

@@ -28,7 +28,6 @@ int64 versus Python-int arithmetic follows its one overflow rule.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -42,6 +41,7 @@ from .poly import (
     first_at_least,
     format_poly,
     increasing_from,
+    int_array,
     int_value,
     values,
 )
@@ -639,12 +639,8 @@ def bad_set_growth(
     if horizons[0] < 1:
         raise DomainError(f"horizon must be positive, got {horizons[0]}")
     elems, _ = bad_set(coloring, n, polys, color, horizons[-1])
-    rows = []
-    lst = elems.tolist()
-    for M in horizons:
-        k = bisect_right(lst, M)
-        rows.append((M, k, int(lst[k - 1]) if k else None))
-    return rows
+    counts = np.searchsorted(elems, int_array(horizons), side="right").tolist()
+    return [(M, k, int(elems[k - 1]) if k else None) for M, k in zip(horizons, counts)]
 
 
 def longest_ap(S: Iterable[int]) -> tuple[int, int, int]:

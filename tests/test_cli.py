@@ -337,16 +337,13 @@ def test_file_non_ascii_byte(tmp_path, argv):
     _file_error(*_run(*(a.format(path) for a in argv)), message="non-ASCII byte 0xc3 at offset 22")
 
 
-def test_dynamics_density_horizon_past_cap():
-    # the profile holds M + 1 counters, so M is held to the window cap
-    code, out, err = _run(
+def test_dynamics_density_horizon_past_cap(monkeypatch):
+    # the profile counts on the sorted set, so M is not held to the window cap
+    monkeypatch.setenv("SUMSET_RAMSEY_NMAX", "100")
+    assert _run(
         "dynamics", "--op", "density", "--set", "1,2,3",
         "--M", "100000000000", "--window-sizes", "2",
-    )
-    assert (code, out) == (1, "")
-    obj = _validated(err)
-    assert obj["error"] == "DomainError"
-    assert "SUMSET_RAMSEY_NMAX" in obj["message"]
+    ) == (0, '[{"window": 2, "density": 1.0}]\n', "")
 
 
 def test_color_palette_above_255_exit():
@@ -432,6 +429,32 @@ def test_audit_empty_bad_set_csv_and_text():
         "n=1 color=2 count=0 max_element=- M=1000 stabilized=true\n",
         "",
     )
+
+
+def test_dynamics_return_window_boundary():
+    # --N must cover h + b*M: equal to it answers, one past it is refused
+    argv = ("dynamics", "--op", "return", "--coloring", "periodic:12", "--a", "1", "--b", "2", "--M", "15")
+    code, out, err = _run(*argv, "--N", "30", "--h", "0")
+    assert code == 0, err
+    assert _validated(out)["elements"] == list(range(2, 16, 2))
+    code, out, err = _run(*argv, "--N", "30", "--h", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "WindowOverrun", "message": "--N 30 does not cover h + b*M = 31"}
+
+
+def test_dynamics_return_cap_on_positions_read(monkeypatch):
+    # --N past the cap answers while h + b*M stays within it
+    monkeypatch.setenv("SUMSET_RAMSEY_NMAX", "61")
+    argv = ("dynamics", "--op", "return", "--coloring", "periodic:12", "--N", "1000", "--a", "1", "--b", "3", "--M", "20")
+    code, out, err = _run(*argv, "--h", "1")
+    assert code == 0, err
+    assert _validated(out)["elements"] == list(range(1, 21))
+    code, out, err = _run(*argv, "--h", "2")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "DomainError",
+        "message": "h + b*M = 62 exceeds cap 61; raise SUMSET_RAMSEY_NMAX to allow it",
+    }
 
 
 def test_dynamics_window_overrun_exit():

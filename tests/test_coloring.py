@@ -1040,20 +1040,6 @@ def test_case2_holds_no_breakpoints(which):
     assert max(held) <= CASE2_HELD_BYTES, held
 
 
-@pytest.fixture(scope="module")
-def every_kind():
-    return [
-        power_2coloring(1, 2),
-        geometric_3coloring(1, 2),
-        triple_2coloring(1, 2, 3),
-        case2_coloring(N2, parse_poly("n^2 + n")),
-        recursive_log_coloring(N2, N3, a0=15, window_n=10**4),
-        PeriodicColoring([1, 1, 2]),
-        SeededRandomColoring(seed=5, palette=3),
-        ExplicitColoring([2, 1, 2, 2]),
-    ]
-
-
 def _outcome(f):
     try:
         return f()
